@@ -10,13 +10,6 @@ function(mkos_add_bench name)
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endfunction()
 
-function(mkos_add_gbench name)
-  mkos_add_bench(${name})
-  # No benchmark_main: micro_substrates carries its own main so it can
-  # emit a BENCH_*.json run ledger after the timing loops.
-  target_link_libraries(${name} PRIVATE benchmark::benchmark)
-endfunction()
-
 mkos_add_bench(fig4_overview)
 mkos_add_bench(fig5a_ccs_qcd)
 mkos_add_bench(fig5b_minife)
@@ -35,9 +28,8 @@ mkos_add_bench(design_space)
 mkos_add_bench(phase_breakdown)
 mkos_add_bench(syscall_matrix)
 mkos_add_bench(hotpath_sampling)
-mkos_add_bench(event_queue)
 mkos_add_bench(perf_smoke)
 mkos_add_bench(sweep_sched)
 mkos_add_bench(resilience)
 mkos_add_bench(fig_numa_lookup)
-mkos_add_gbench(micro_substrates)
+mkos_add_bench(micro_substrates)

@@ -49,10 +49,6 @@ int main() {
   // row simulate concurrently and the shared cache carries cells across
   // rows should any repeat. MKOS_CELL_STORE=<dir> adds the persistent disk
   // tier: a warm store serves every cell without resimulating.
-  // MKOS_SHARD=<i>/<n> runs one keyspace slice (DESIGN.md §16): a sharded
-  // process fills the store and skips the comparison tables — the merge is
-  // an unsharded rerun over the warm store.
-  const core::ShardSpec shard = core::ShardSpec::from_env();
   sim::ThreadPool pool;
   const auto store = core::CellStore::from_env();
   core::CellCache cache(store.get());
@@ -72,10 +68,8 @@ int main() {
     spec.nodes = {row.nodes};
     spec.reps = 5;
     spec.seed = 81;
-    spec.shard = shard;
     const auto cells = campaign.run(spec);
     for (const core::CellResult& cell : cells) {
-      if (cell.skipped) continue;  // sharded run: foreign cell, no statistics
       // Dedupe repeated cells by series name, not by from_cache: with a
       // warm disk store every cell is a cache hit yet must still merge.
       const std::string series = std::string(row.app) + "." + cell.config_label +
@@ -83,18 +77,12 @@ int main() {
       if (!recorded.insert(series).second) continue;
       core::record_run_stats(ledger, series, cell.stats);
     }
-    if (shard.sharded()) continue;  // ratios need all four cells resident
     const double lin = cells[0].stats.median();
     table.add_row({row.label, "100.0%", core::fmt_pct(cells[1].stats.median() / lin),
                    core::fmt_pct(cells[2].stats.median() / lin),
                    core::fmt_pct(cells[3].stats.median() / lin)});
   }
-  if (shard.sharded()) {
-    std::printf("sharded run %d/%d: comparison table deferred to the merge pass\n\n",
-                shard.index, shard.count);
-  } else {
-    std::printf("%s\n", table.to_string().c_str());
-  }
+  std::printf("%s\n", table.to_string().c_str());
 
   // Where the designs structurally differ: the price of the calls HPC
   // codes issue on the critical path.

@@ -20,9 +20,8 @@
 //   persistent cell store: finished cells land on disk and later runs load
 //   them instead of resimulating (campaign.store.* counters in the ledger).
 //   MKOS_FIG4_RESUME=1 skips cells the store already holds (a "what
-//   remains" pass); MKOS_SHARD=<i>/<n> runs one keyspace slice of the grid
-//   (DESIGN.md §16) — both produce partial, store-filling runs whose merge
-//   is a plain unsharded rerun over the warm store.
+//   remains" pass) — a partial, store-filling run whose completion is a
+//   plain rerun over the warm store.
 
 #include <chrono>
 #include <cstdio>
@@ -42,9 +41,7 @@ using core::SystemConfig;
 struct SweepOpts {
   int max_nodes = 2048;
   int reps = 5;
-  bool resume = false;          ///< MKOS_FIG4_RESUME: skip already-stored cells
-  core::ShardSpec shard;        ///< MKOS_SHARD keyspace slice
-  [[nodiscard]] bool partial() const { return resume || shard.sharded(); }
+  bool resume = false;  ///< MKOS_FIG4_RESUME: skip already-stored cells
 };
 
 core::CampaignSpec fig4_spec(const SweepOpts& opts) {
@@ -54,7 +51,6 @@ core::CampaignSpec fig4_spec(const SweepOpts& opts) {
   spec.seed = 42;
   spec.max_nodes = opts.max_nodes;
   spec.resume = opts.resume;
-  spec.shard = opts.shard;
   return spec;
 }
 
@@ -76,7 +72,7 @@ std::map<std::string, std::map<std::string, std::vector<core::ScalingPoint>>> cu
     const std::vector<core::CellResult>& cells) {
   std::map<std::string, std::map<std::string, std::vector<core::ScalingPoint>>> curves;
   for (const core::CellResult& cell : cells) {
-    if (cell.skipped) continue;  // sharded/resumed runs: no statistics
+    if (cell.skipped) continue;  // resumed runs: no statistics
     auto& curve = curves[cell.app][cell.config_label];
     const core::ScalingPoint point{cell.nodes, cell.stats.median(), cell.stats.min(),
                                    cell.stats.max()};
@@ -100,14 +96,12 @@ int main() {
   SweepOpts opts;
   opts.max_nodes = sim::env_int("MKOS_FIG4_MAX_NODES", 2048, 1, 1 << 20);
   opts.reps = sim::env_int("MKOS_FIG4_REPS", 5, 1, 1000);
-  // Sharded / resumed sweeps exist to fill the cell store, not to render the
-  // figure: foreign or already-stored cells come back skipped with empty
-  // statistics, so the tables, headline, and serial reference are suppressed
-  // and the ledger carries only the cells this process actually resolved.
-  // The merge pass — an unsharded run over the warm store — produces the
-  // full figure and the byte-comparable ledger.
+  // Resumed sweeps exist to fill the cell store, not to render the figure:
+  // already-stored cells come back skipped with empty statistics, so the
+  // tables, headline, and serial reference are suppressed and the ledger
+  // carries only the cells this process actually resolved. A plain run over
+  // the warm store produces the full figure and the byte-comparable ledger.
   opts.resume = sim::env_int("MKOS_FIG4_RESUME", 0, 0, 1) == 1;
-  opts.shard = core::ShardSpec::from_env();
   const int max_nodes = opts.max_nodes;
   const int reps = opts.reps;
   const int threads = sim::ThreadPool::default_threads();
@@ -127,10 +121,8 @@ int main() {
   const auto curves = curves_of(cells);
   std::vector<std::vector<core::RelativePoint>> all_rel;
   core::Headline h;
-  if (opts.partial()) {
-    std::printf("partial sweep (%s%s): figure rendering deferred to the merge pass\n\n",
-                opts.shard.sharded() ? "sharded" : "",
-                opts.resume ? (opts.shard.sharded() ? ", resume" : "resume") : "");
+  if (opts.resume) {
+    std::printf("partial sweep (resume): figure rendering deferred to a full run\n\n");
   } else {
     for (const std::string& app : workloads::fig4_app_names()) {
       const auto found = curves.find(app);
@@ -166,7 +158,7 @@ int main() {
   // actual simulation, not disk loads. Bit-identical results (positional
   // seeds), so only the wall clock differs.
   double serial_s = 0.0;
-  if (!opts.partial() && sim::env_int("MKOS_FIG4_SKIP_SERIAL", 0, 0, 1) == 0) {
+  if (!opts.resume && sim::env_int("MKOS_FIG4_SKIP_SERIAL", 0, 0, 1) == 0) {
     sim::ThreadPool serial_pool(1);
     core::CellCache serial_cache;
     core::Campaign serial_campaign(serial_pool, serial_cache);
@@ -192,13 +184,13 @@ int main() {
   // must merge exactly once.
   std::set<std::string> recorded;
   for (const core::CellResult& cell : cells) {
-    if (cell.skipped) continue;  // sharded/resumed runs: no statistics
+    if (cell.skipped) continue;  // resumed runs: no statistics
     const std::string series =
         cell.app + "." + cell.config_label + ".n" + std::to_string(cell.nodes);
     if (!recorded.insert(series).second) continue;  // phase-2 baseline dups
     core::record_run_stats(ledger, series, cell.stats);
   }
-  if (!opts.partial()) {
+  if (!opts.resume) {
     ledger.set_gauge("headline.median_ratio", h.median_ratio);
     ledger.set_gauge("headline.best_ratio", h.best_ratio);
   }

@@ -15,9 +15,8 @@
 //   MKOS_NUMA_MAX_NODES / MKOS_NUMA_REPS shrink the sweep (defaults 256/3).
 //   MKOS_THREADS sets the pool size; MKOS_NUMA_SKIP_SERIAL=1 skips the
 //   serial reference. MKOS_CELL_STORE=<dir> attaches the persistent cell
-//   store; MKOS_NUMA_RESUME=1 skips already-stored cells and
-//   MKOS_SHARD=<i>/<n> runs one keyspace slice (both produce partial,
-//   store-filling runs; the merge pass is an unsharded rerun).
+//   store; MKOS_NUMA_RESUME=1 skips already-stored cells (a partial,
+//   store-filling run; a plain rerun over the warm store completes it).
 
 #include <chrono>
 #include <cstdio>
@@ -40,8 +39,6 @@ struct SweepOpts {
   int max_nodes = 256;
   int reps = 3;
   bool resume = false;
-  core::ShardSpec shard;
-  [[nodiscard]] bool partial() const { return resume || shard.sharded(); }
 };
 
 const std::vector<std::string>& placement_apps() {
@@ -66,7 +63,6 @@ std::vector<core::CellResult> run_cells(core::Campaign& campaign,
   spec.seed = 42;
   spec.max_nodes = opts.max_nodes;
   spec.resume = opts.resume;
-  spec.shard = opts.shard;
   return campaign.run(spec);
 }
 
@@ -75,7 +71,7 @@ std::map<std::string, std::map<std::string, std::vector<core::ScalingPoint>>> cu
     const std::vector<core::CellResult>& cells) {
   std::map<std::string, std::map<std::string, std::vector<core::ScalingPoint>>> curves;
   for (const core::CellResult& cell : cells) {
-    if (cell.skipped) continue;  // sharded/resumed runs: no statistics
+    if (cell.skipped) continue;  // resumed runs: no statistics
     curves[cell.config_label][cell.app].push_back(core::ScalingPoint{
         cell.nodes, cell.stats.median(), cell.stats.min(), cell.stats.max()});
   }
@@ -95,7 +91,6 @@ int main() {
   opts.max_nodes = sim::env_int("MKOS_NUMA_MAX_NODES", 256, 1, 1 << 20);
   opts.reps = sim::env_int("MKOS_NUMA_REPS", 3, 1, 1000);
   opts.resume = sim::env_int("MKOS_NUMA_RESUME", 0, 0, 1) == 1;
-  opts.shard = core::ShardSpec::from_env();
   const int threads = sim::ThreadPool::default_threads();
 
   core::print_banner(
@@ -114,10 +109,8 @@ int main() {
   const auto curves = curves_of(cells);
   // median FOM of (config, app) at the largest node count actually swept.
   std::map<std::string, std::map<std::string, double>> at_max;
-  if (opts.partial()) {
-    std::printf("partial sweep (%s%s): figure rendering deferred to the merge pass\n\n",
-                opts.shard.sharded() ? "sharded" : "",
-                opts.resume ? (opts.shard.sharded() ? ", resume" : "resume") : "");
+  if (opts.resume) {
+    std::printf("partial sweep (resume): figure rendering deferred to a full run\n\n");
   } else {
     for (const auto& [config, by_app] : curves) {
       core::Table table{{config + " nodes", "first-touch", "interleave", "mcdram",
@@ -152,7 +145,7 @@ int main() {
   std::printf("%s\n", core::describe(t, threads).c_str());
 
   double serial_s = 0.0;
-  if (!opts.partial() && sim::env_int("MKOS_NUMA_SKIP_SERIAL", 0, 0, 1) == 0) {
+  if (!opts.resume && sim::env_int("MKOS_NUMA_SKIP_SERIAL", 0, 0, 1) == 0) {
     sim::ThreadPool serial_pool(1);
     core::CellCache serial_cache;
     core::Campaign serial_campaign(serial_pool, serial_cache);
@@ -180,7 +173,7 @@ int main() {
     if (!recorded.insert(series).second) continue;
     core::record_run_stats(ledger, series, cell.stats);
   }
-  if (!opts.partial()) {
+  if (!opts.resume) {
     for (const auto& [config, medians] : at_max) {
       for (const auto& [placement, median] : medians) {
         ledger.set_gauge("sep." + config + "." + placement, median);

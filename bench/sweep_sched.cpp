@@ -1,5 +1,4 @@
-// Scheduler sweep: FIFO pool vs work-stealing pool on a skewed cost mix,
-// plus sharded two-process scaling over a shared cell store.
+// Scheduler sweep: FIFO pool vs work-stealing pool on a skewed cost mix.
 //
 // Section 1 (gated): a synthetic skewed task mix driven through the exact
 // production fan-out path (sim::parallel_for_weighted -> TaskPool): a
@@ -25,27 +24,15 @@
 // cell statistics (the positional-seed determinism contract), and printing
 // measured cell cost against the placement model's estimate.
 //
-// Section 3 (multi-process, emulated): the same grid split across two
-// shards (MKOS_SHARD semantics, DESIGN.md §16) running concurrently over
-// one shared store directory, claims mediating the overlap, each shard on
-// its own half-size pool — two half-machines standing in for two hosts. A
-// final unsharded merge run over the warm store must recompute nothing:
-// every cell a verified disk hit, zero writes, statistics identical to
-// direct simulation.
-//
 //   MKOS_SWEEP_SCHED_REPS    timing repetitions, min taken (default 3)
 //   MKOS_SWEEP_SCHED_THREADS pool width for the timed runs (default 8)
 //   MKOS_SWEEP_SCHED_CELL_REPS  per-cell simulation reps (default 2)
 
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <functional>
 #include <queue>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -138,17 +125,19 @@ double timed_synthetic(sim::TaskPool& pool, const std::vector<double>& costs,
   return seconds_since(t0);
 }
 
-/// Run the cell grid on `pool` with a cold cache; returns wall seconds and
-/// the cell results (deterministic grid order).
+/// Run the cell grid on `pool` with a cold cache; returns wall seconds, the
+/// cell results (deterministic grid order) and, when asked, the campaign
+/// telemetry.
 double timed_cells(sim::TaskPool& pool, const core::CampaignSpec& spec,
-                   std::vector<core::CellResult>* out) {
+                   std::vector<core::CellResult>* out,
+                   core::CampaignTelemetry* telemetry = nullptr) {
   core::CellCache cache;
   core::Campaign campaign(pool, cache);
   // mkos-lint: allow(wall-clock) — host telemetry: campaign makespan.
   const auto t0 = std::chrono::steady_clock::now();
-  auto cells = campaign.run(spec);
+  *out = campaign.run(spec);
   const double s = seconds_since(t0);
-  if (out != nullptr) *out = std::move(cells);
+  if (telemetry != nullptr) *telemetry = campaign.telemetry();
   return s;
 }
 
@@ -175,8 +164,8 @@ int main() {
   const int cell_reps = sim::env_int("MKOS_SWEEP_SCHED_CELL_REPS", 2, 1, 100);
   const core::CampaignSpec spec = cell_spec(cell_reps);
 
-  core::print_banner("Scheduler sweep — FIFO vs work stealing vs 2-shard store",
-                     "campaign engine; skewed cost mix (DESIGN.md §16)");
+  core::print_banner("Scheduler sweep — FIFO vs work stealing",
+                     "campaign engine; skewed cost mix");
 
   // --- Section 1 (gated): synthetic skewed mix --------------------------
   const std::vector<double> costs = skewed_costs();
@@ -228,6 +217,7 @@ int main() {
   // --- Section 2: real cells, determinism across pools ------------------
   std::vector<core::CellResult> fifo_cells;
   std::vector<core::CellResult> wsp_cells;
+  core::CampaignTelemetry wsp_telemetry;
   double fifo_cells_s = 0.0;
   double wsp_cells_s = 0.0;
   {
@@ -236,7 +226,7 @@ int main() {
   }
   {
     sim::WorkStealingPool pool(threads);
-    wsp_cells_s = timed_cells(pool, spec, &wsp_cells);
+    wsp_cells_s = timed_cells(pool, spec, &wsp_cells, &wsp_telemetry);
   }
   if (!same_results(fifo_cells, wsp_cells)) {
     std::fprintf(stderr, "FATAL: pool choice changed cell statistics\n");
@@ -256,88 +246,12 @@ int main() {
   std::printf("real cells (%zu): FIFO %.3f s, WSP %.3f s, statistics identical\n\n",
               fifo_cells.size(), fifo_cells_s, wsp_cells_s);
 
-  // --- Section 3: two concurrent shards over one store, then merge ------
-  namespace fs = std::filesystem;
-  const fs::path store_root =
-      fs::temp_directory_path() /
-      ("mkos-sweep-sched-" + std::to_string(static_cast<long long>(::getpid())));
-  std::error_code ec;
-  fs::remove_all(store_root, ec);
-
-  // Each shard gets half the machine: two half-size pools standing in for
-  // two hosts. Claims through the shared store mediate the steal phase.
-  const int half = threads / 2;
-  double shard_walls[2] = {0.0, 0.0};
-  core::CampaignTelemetry shard_telemetry[2];
-  {
-    std::vector<std::thread> shards;
-    for (int i = 0; i < 2; ++i) {
-      shards.emplace_back([&, i] {
-        core::CellStore store(store_root.string());
-        core::CellCache cache(&store);
-        sim::WorkStealingPool pool(half);
-        core::Campaign campaign(pool, cache);
-        core::CampaignSpec shard_spec = spec;
-        shard_spec.shard = core::ShardSpec{i, 2};
-        // mkos-lint: allow(wall-clock) — host telemetry: shard makespan.
-        const auto t0 = std::chrono::steady_clock::now();
-        (void)campaign.run(shard_spec);
-        shard_walls[i] = seconds_since(t0);
-        shard_telemetry[i] = campaign.telemetry();
-      });
-    }
-    for (std::thread& th : shards) th.join();
-  }
-
-  // Merge: unsharded run over the warm store. Nothing may recompute — every
-  // cell is a verified disk hit (or an in-run duplicate), zero writes.
-  core::CellStore merge_store(store_root.string());
-  core::CellCache merge_cache(&merge_store);
-  sim::WorkStealingPool merge_pool(threads);
-  core::Campaign merge_campaign(merge_pool, merge_cache);
-  // mkos-lint: allow(wall-clock) — host telemetry: merge wall time.
-  const auto m0 = std::chrono::steady_clock::now();
-  const auto merged = merge_campaign.run(spec);
-  const double merge_s = seconds_since(m0);
-  const core::CellStoreCounters msc = merge_store.counters();
-  if (msc.writes != 0 || msc.misses != 0) {
-    std::fprintf(stderr,
-                 "FATAL: merge recomputed cells (writes=%llu misses=%llu) — "
-                 "the shards did not cover the grid\n",
-                 static_cast<unsigned long long>(msc.writes),
-                 static_cast<unsigned long long>(msc.misses));
-    return 1;
-  }
-  if (!same_results(fifo_cells, merged)) {
-    std::fprintf(stderr, "FATAL: merged results differ from direct simulation\n");
-    return 1;
-  }
-
-  const double slowest_shard = std::max(shard_walls[0], shard_walls[1]);
-  const double efficiency = slowest_shard > 0.0 ? wsp_cells_s / slowest_shard : 0.0;
-  core::Table t2{{"phase", "wall s", "claims", "races", "stolen"}};
-  for (int i = 0; i < 2; ++i) {
-    const core::CampaignTelemetry& st = shard_telemetry[i];
-    t2.add_row({"shard " + std::to_string(i) + "/2 (" + std::to_string(half) +
-                    " threads)",
-                core::fmt(shard_walls[i], 3), std::to_string(st.sched_claims),
-                std::to_string(st.sched_claim_races),
-                std::to_string(st.stolen_cells)});
-  }
-  t2.add_row({"merge (warm store)", core::fmt(merge_s, 3), "0", "0", "0"});
-  std::printf("%s\n", t2.to_string().c_str());
-  std::printf("2-shard efficiency vs one %d-thread machine: %.2f "
-              "(1.0 = linear: each half-machine shard matches the full pool)\n\n",
-              threads, efficiency);
-
-  fs::remove_all(store_root, ec);
-
   // --- Ledger ------------------------------------------------------------
   obs::RunLedger ledger =
       core::bench_ledger("sweep_sched", "campaign scheduler microbenchmark", 7);
   ledger.set_meta("cell_reps", std::to_string(cell_reps));
   ledger.set_meta("timing_reps", std::to_string(reps));
-  core::record_campaign(ledger, merge_campaign.telemetry(), threads, &merge_store);
+  core::record_campaign(ledger, wsp_telemetry, threads);
   ledger.set_host("wall_s_fifo", core::json_number(fifo_s));
   ledger.set_host("wall_s_wsp", core::json_number(wsp_s));
   ledger.set_host("makespan_fifo_model", core::json_number(fifo_model));
@@ -345,10 +259,6 @@ int main() {
   ledger.set_host("sched_speedup", core::json_number(speedup));
   ledger.set_host("wall_s_fifo_cells", core::json_number(fifo_cells_s));
   ledger.set_host("wall_s_wsp_cells", core::json_number(wsp_cells_s));
-  ledger.set_host("wall_s_shard0", core::json_number(shard_walls[0]));
-  ledger.set_host("wall_s_shard1", core::json_number(shard_walls[1]));
-  ledger.set_host("wall_s_merge", core::json_number(merge_s));
-  ledger.set_host("shard_efficiency", core::json_number(efficiency));
   core::emit(ledger);
   return 0;
 }

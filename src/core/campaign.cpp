@@ -107,17 +107,8 @@ Campaign::Campaign(sim::TaskPool& pool, CellCache& cache)
 
 std::vector<CellResult> Campaign::run(const CampaignSpec& spec) {
   MKOS_EXPECTS(spec.reps >= 1);
-  MKOS_EXPECTS(spec.shard.count >= 1);
-  MKOS_EXPECTS(spec.shard.index >= 0 && spec.shard.index < spec.shard.count);
   const auto started = std::chrono::steady_clock::now();
   const auto sched0 = pool_.sched_telemetry();
-  CellStore* store = cache_.disk();
-  const auto claims0 =
-      store != nullptr ? store->counters() : CellStoreCounters{};
-  // Cross-process coordination needs the shared store; without one a shard
-  // still runs (its slice only, nothing to steal from or publish to).
-  const bool use_claims =
-      spec.shard.sharded() && store != nullptr && store->ready();
 
   // Enumerate the grid in deterministic order.
   struct Cell {
@@ -167,23 +158,12 @@ std::vector<CellResult> Campaign::run(const CampaignSpec& spec) {
   // function of the request sequence (deterministic counter), disk-store
   // hits depend on what previous processes left behind (host state).
   std::vector<const Cell*> to_simulate;
-  std::vector<const Cell*> foreign;  // sharded: another process's slice
   std::unordered_map<std::uint64_t, std::size_t> first_occurrence;
   std::vector<std::pair<std::size_t, std::size_t>> duplicates;  // (dst, src) indices
   std::uint64_t memory_hits = 0;
   std::uint64_t disk_hits = 0;
   std::uint64_t skipped = 0;
   for (const Cell& cell : grid) {
-    if (spec.shard.sharded() &&
-        cell.key % static_cast<std::uint64_t>(spec.shard.count) !=
-            static_cast<std::uint64_t>(spec.shard.index)) {
-      // Foreign slice: skipped unless the steal phase below claims it. The
-      // per-shard ledger is partial by design; the unsharded merge pass
-      // over the shared store produces the canonical document.
-      results[cell.result_index].skipped = true;
-      foreign.push_back(&cell);
-      continue;
-    }
     if (spec.resume && cache_.contains(cell.key, cell.id)) {
       results[cell.result_index].skipped = true;
       ++skipped;
@@ -206,78 +186,26 @@ std::vector<CellResult> Campaign::run(const CampaignSpec& spec) {
     }
   }
 
-  // Owned-slice fan-out. Costs feed cost-aware pools (LPT placement of the
-  // skewed tail); FIFO pools keep plain submission order. In a sharded run
-  // every simulated cell is claimed first so sibling shards' steal scans
-  // can tell in-flight work (live claim) from unstarted work (no claim).
-  const auto cost_of = [&spec](const Cell& cell) {
-    return static_cast<double>(cell.nodes) * static_cast<double>(spec.reps) *
-           workloads::app_cost_weight(cell.app);
-  };
-  const auto simulate_cell = [&](const Cell& cell) {
+  // Fan-out. Costs feed cost-aware pools (LPT placement of the skewed
+  // tail); FIFO pools keep plain submission order.
+  std::vector<double> costs;
+  costs.reserve(to_simulate.size());
+  for (const Cell* cell : to_simulate) {
+    costs.push_back(static_cast<double>(cell->nodes) * static_cast<double>(spec.reps) *
+                    workloads::app_cost_weight(cell->app));
+  }
+  sim::parallel_for_weighted(pool_, costs, [&](std::size_t i) {
+    const Cell& cell = *to_simulate[i];
     CellResult& out = results[cell.result_index];
     const auto cell_started = std::chrono::steady_clock::now();
     // Each task owns its App: no simulator state crosses threads.
     const auto app = workloads::make_app(cell.app);
     out.stats = run_app(*app, *cell.config, cell.nodes, spec.reps, spec.seed);
     out.wall_ms = elapsed_ms(cell_started);
-    out.skipped = false;
     cache_.store(cell.key, cell.id, out.stats);
-  };
-  std::vector<double> costs;
-  costs.reserve(to_simulate.size());
-  for (const Cell* cell : to_simulate) costs.push_back(cost_of(*cell));
-  sim::parallel_for_weighted(pool_, costs, [&](std::size_t i) {
-    const Cell& cell = *to_simulate[i];
-    if (use_claims) {
-      if (store->try_claim(cell.key) != CellStore::ClaimOutcome::kAcquired) {
-        // A sibling shard stole this cell; its entry lands in the shared
-        // store and the merge pass serves it from there.
-        results[cell.result_index].skipped = true;
-        return;
-      }
-    }
-    simulate_cell(cell);
-    if (use_claims) store->release_claim(cell.key);
   });
 
-  // Steal phase: this shard is out of owned work — scan the foreign slice
-  // for cells nobody has published or claimed yet and take them. Duplicate
-  // keys need one attempt only; a lost claim or a published entry means
-  // some sibling has it covered.
-  std::uint64_t stolen = 0;
-  if (use_claims && !foreign.empty()) {
-    std::vector<const Cell*> to_steal;
-    std::unordered_map<std::uint64_t, bool> steal_seen;
-    for (const Cell* cell : foreign) {
-      if (!steal_seen.try_emplace(cell->key, true).second) continue;
-      if (store->has_entry(cell->key)) continue;
-      to_steal.push_back(cell);
-    }
-    std::vector<double> steal_costs;
-    steal_costs.reserve(to_steal.size());
-    for (const Cell* cell : to_steal) steal_costs.push_back(cost_of(*cell));
-    sim::parallel_for_weighted(pool_, steal_costs, [&](std::size_t i) {
-      const Cell& cell = *to_steal[i];
-      if (store->try_claim(cell.key) != CellStore::ClaimOutcome::kAcquired) return;
-      if (store->has_entry(cell.key)) {
-        // Published between our scan and the claim (the owner releases its
-        // claim only after the entry rename lands).
-        store->release_claim(cell.key);
-        return;
-      }
-      simulate_cell(cell);
-      store->release_claim(cell.key);
-    });
-    for (const Cell* cell : to_steal) {
-      if (!results[cell->result_index].skipped) ++stolen;
-    }
-  }
-
-  for (const auto& [dst, src] : duplicates) {
-    results[dst].stats = results[src].stats;
-    results[dst].skipped = results[src].skipped;
-  }
+  for (const auto& [dst, src] : duplicates) results[dst].stats = results[src].stats;
 
   telemetry_.cells += grid.size();
   telemetry_.cache_hits += memory_hits;
@@ -285,9 +213,7 @@ std::vector<CellResult> Campaign::run(const CampaignSpec& spec) {
   telemetry_.skipped += skipped;
   telemetry_.wall_seconds += elapsed_ms(started) / 1e3;
   for (const Cell* cell : to_simulate) {
-    if (!results[cell->result_index].skipped) {
-      telemetry_.cell_wall_ms.add(results[cell->result_index].wall_ms);
-    }
+    telemetry_.cell_wall_ms.add(results[cell->result_index].wall_ms);
   }
   const auto sched1 = pool_.sched_telemetry();
   if (sched1.active) {
@@ -297,17 +223,6 @@ std::vector<CellResult> Campaign::run(const CampaignSpec& spec) {
     telemetry_.sched_local_pops += sched1.local_pops - sched0.local_pops;
     telemetry_.sched_imbalance = sched1.imbalance;
   }
-  if (store != nullptr) {
-    const CellStoreCounters claims1 = store->counters();
-    telemetry_.sched_claims += claims1.claims - claims0.claims;
-    telemetry_.sched_claim_races += claims1.claim_races - claims0.claim_races;
-  }
-  telemetry_.stolen_cells += stolen;
-  std::uint64_t foreign_skipped = 0;
-  for (const Cell* cell : foreign) {
-    if (results[cell->result_index].skipped) ++foreign_skipped;
-  }
-  telemetry_.foreign_skipped += foreign_skipped;
   return results;
 }
 
@@ -325,14 +240,6 @@ std::string describe(const CampaignTelemetry& t, int threads) {
     table.add_row({"sched steals", std::to_string(t.sched_steals)});
     table.add_row({"sched local pops", std::to_string(t.sched_local_pops)});
     table.add_row({"sched imbalance", fmt(t.sched_imbalance, 3)});
-  }
-  if (t.sched_claims > 0 || t.sched_claim_races > 0) {
-    table.add_row({"shard claims", std::to_string(t.sched_claims)});
-    table.add_row({"shard claim races", std::to_string(t.sched_claim_races)});
-  }
-  if (t.stolen_cells > 0 || t.foreign_skipped > 0) {
-    table.add_row({"cells stolen", std::to_string(t.stolen_cells)});
-    table.add_row({"foreign skipped", std::to_string(t.foreign_skipped)});
   }
   std::string out = table.to_string();
   if (t.cell_wall_ms.total() > 0) {

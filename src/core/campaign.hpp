@@ -18,18 +18,8 @@
 // disk hit populates the memory tier. Every tier stores the full CellKey
 // next to the 64-bit hash and verifies it on hit, so a fingerprint
 // collision is a detected miss, never the wrong cell's statistics.
-//
-// Sharding (DESIGN.md §16): MKOS_SHARD=<i>/<n> splits the cell keyspace
-// deterministically (a cell belongs to shard key % n) so n processes over
-// one shared store cover a grid together. A shard simulates its own slice,
-// then steals unclaimed foreign cells through the store's O_EXCL .claim
-// protocol; a final unsharded run over the warm store is the merge — every
-// cell is a disk hit and the ledger is byte-identical to a single-process
-// run modulo host/campaign.store.*/campaign.sched.*.
 
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -38,7 +28,6 @@
 
 #include "core/cell_store.hpp"
 #include "core/experiment.hpp"
-#include "sim/env.hpp"
 #include "sim/histogram.hpp"
 #include "sim/thread_pool.hpp"
 #include "sim/thread_safety.hpp"
@@ -102,55 +91,6 @@ class CellCache {
                                            const SystemConfig& config, int nodes,
                                            int reps, std::uint64_t seed);
 
-/// One process's slice of a sharded sweep: this process owns the cells with
-/// `key % count == index`. The default {0, 1} owns everything (unsharded).
-struct ShardSpec {
-  int index = 0;
-  int count = 1;
-
-  [[nodiscard]] bool sharded() const { return count > 1; }
-
-  /// Environment variable: `MKOS_SHARD=<index>/<count>`.
-  static constexpr const char* kEnvVar = "MKOS_SHARD";
-
-  /// Parse MKOS_SHARD strictly (mirrors sim::env_int: unset/empty keeps the
-  /// unsharded default; anything else must be <i>/<n> with
-  /// 0 <= i < n <= 4096 or the process stops naming the variable).
-  /// Header-inline so MKOS_CONTRACTS_THROW test builds get a catchable
-  /// ContractViolation instead of exit(2).
-  [[nodiscard]] static ShardSpec from_env() {
-    const char* value = std::getenv(kEnvVar);
-    if (value == nullptr || value[0] == '\0') return {};
-    const std::string_view text(value);
-    const std::size_t slash = text.find('/');
-    std::optional<long long> index;
-    std::optional<long long> count;
-    if (slash != std::string_view::npos) {
-      index = sim::parse_int(text.substr(0, slash));
-      count = sim::parse_int(text.substr(slash + 1));
-    }
-    if (!index || !count || *count < 1 || *count > 4096 || *index < 0 ||
-        *index >= *count) {
-      shard_env_failure(value);
-    }
-    return ShardSpec{static_cast<int>(*index), static_cast<int>(*count)};
-  }
-
- private:
-  [[noreturn]] static void shard_env_failure(const char* value) {
-    char msg[256];
-    std::snprintf(msg, sizeof msg,
-                  "%s='%s' (expected <index>/<count>, 0 <= index < count <= 4096)",
-                  kEnvVar, value);
-#ifdef MKOS_CONTRACTS_THROW
-    throw sim::ContractViolation(std::string("mkos: invalid environment: ") + msg);
-#else
-    std::fprintf(stderr, "mkos: invalid environment: %s\n", msg);
-    std::exit(2);  // user input error, not a program bug: no abort/core
-#endif
-  }
-};
-
 struct CampaignSpec {
   std::vector<std::string> apps;        ///< registry names (workloads::make_app)
   std::vector<SystemConfig> configs;
@@ -163,10 +103,6 @@ struct CampaignSpec {
   /// empty statistics, nothing loaded or simulated. For "what remains"
   /// passes over a partially-filled store; leave false to get full results.
   bool resume = false;
-  /// Sharded sweep: this process simulates only its keyspace slice, then
-  /// steals unclaimed foreign cells when a store is attached. Foreign cells
-  /// that were not stolen come back CellResult::skipped.
-  ShardSpec shard;
 };
 
 struct CellResult {
@@ -194,18 +130,12 @@ struct CampaignTelemetry {
 
   // Scheduler telemetry (the campaign.sched.* ledger group; host-state
   // dependent like campaign.store.*, emitted only when a cost-aware pool
-  // ran). Pool counters are per-run deltas of the pool's cumulative totals;
-  // claim counters come from the store's claim protocol.
+  // ran). Pool counters are per-run deltas of the pool's cumulative totals.
   bool sched_active = false;        ///< a cost-aware (work-stealing) pool ran
   std::uint64_t sched_steals = 0;       ///< tasks taken from a foreign deque
   std::uint64_t sched_steal_fails = 0;  ///< deque scans that raced to nothing
   std::uint64_t sched_local_pops = 0;   ///< tasks served from the owner deque
-  std::uint64_t sched_claims = 0;       ///< cross-process claims acquired
-  std::uint64_t sched_claim_races = 0;  ///< claims lost to a live owner
   double sched_imbalance = 0.0;  ///< max/mean executed cost across workers
-  /// Sharded runs: foreign cells skipped (not stolen) / stolen and simulated.
-  std::uint64_t foreign_skipped = 0;
-  std::uint64_t stolen_cells = 0;
 
   [[nodiscard]] double cells_per_second() const {
     return wall_seconds > 0.0 ? static_cast<double>(cells) / wall_seconds : 0.0;

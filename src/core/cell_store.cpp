@@ -1,14 +1,12 @@
 #include "core/cell_store.hpp"
 
 #include <fcntl.h>
-#include <signal.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -161,34 +159,6 @@ bool parse_index_entry(const std::string& blob, const std::string& name,
   }
   out->key = key;
   return true;
-}
-
-/// Claim-file body (sans newline); see the protocol note in the header.
-std::string claim_line(std::uint64_t gen, long long pid) {
-  return "mkos-claim v1 gen=" + std::to_string(gen) +
-         " pid=" + std::to_string(pid);
-}
-
-/// Parse a claim file's single line. False when the file is not a
-/// well-formed v1 claim (treated as reclaimable — an empty or torn claim
-/// must not wedge the cell forever).
-bool parse_claim(const std::string& blob, std::uint64_t* gen, long long* pid) {
-  unsigned long long g = 0;
-  long long p = 0;
-  if (std::sscanf(blob.c_str(), "mkos-claim v1 gen=%llu pid=%lld", &g, &p) != 2) {
-    return false;
-  }
-  *gen = g;
-  *pid = p;
-  return true;
-}
-
-/// Is the claiming process still alive? kill(pid, 0) probes without
-/// signaling; EPERM means "alive but not ours", which still counts.
-bool pid_alive(long long pid) {
-  if (pid <= 0) return false;
-  if (pid == static_cast<long long>(::getpid())) return true;
-  return ::kill(static_cast<pid_t>(pid), 0) == 0 || errno == EPERM;
 }
 
 /// Move a corrupt entry aside for post-mortem; if even that fails, delete
@@ -361,8 +331,8 @@ bool CellStore::save(std::uint64_t key, const CellKey& id, const RunStats& stats
   // place. Concurrent writers of the same key race benignly (identical
   // content by the determinism contract; rename is atomic either way) —
   // the pid distinguishes processes and the sequence number distinguishes
-  // threads within one process (two in-process shards sharing a store
-  // directory must not truncate each other's temp file mid-write).
+  // threads within one process (two campaigns in one process sharing a
+  // store directory must not truncate each other's temp file mid-write).
   static std::atomic<std::uint64_t> tmp_seq{0};
   const std::string path = entry_path(key);
   const std::string tmp =
@@ -387,78 +357,6 @@ bool CellStore::save(std::uint64_t key, const CellKey& id, const RunStats& stats
     counters_.bytes_written += blob.size();
   }
   return true;
-}
-
-bool CellStore::has_entry(std::uint64_t key) const {
-  if (!ready_) return false;
-  std::error_code ec;
-  return std::filesystem::exists(entry_path(key), ec) && !ec;
-}
-
-std::string CellStore::claim_path(std::uint64_t key) const {
-  return root_ + "/" + hex16(key) + ".claim";
-}
-
-CellStore::ClaimOutcome CellStore::try_claim(std::uint64_t key) {
-  const auto finish = [this](ClaimOutcome outcome) {
-    const sim::MutexLock lock(mu_);
-    if (outcome == ClaimOutcome::kAcquired) {
-      ++counters_.claims;
-    } else {
-      ++counters_.claim_races;
-    }
-    return outcome;
-  };
-  if (!ready_) return finish(ClaimOutcome::kBusy);
-
-  const std::string path = claim_path(key);
-  const long long self = static_cast<long long>(::getpid());
-  // Fast path: atomic O_EXCL create wins or loses the race outright.
-  const int fd = ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-  if (fd >= 0) {
-    const std::string line = claim_line(/*gen=*/1, self) + "\n";
-    const bool wrote =
-        ::write(fd, line.data(), line.size()) == static_cast<ssize_t>(line.size());
-    (void)::close(fd);
-    // A failed body write leaves an empty claim; it parses as stale and a
-    // sibling reclaims it, so we must not pretend to hold it.
-    return finish(wrote ? ClaimOutcome::kAcquired : ClaimOutcome::kBusy);
-  }
-  if (errno != EEXIST) return finish(ClaimOutcome::kBusy);
-
-  // Slow path: somebody holds (or held) the claim. A live owner wins; a
-  // dead or unparseable one is reclaimed with a bumped generation.
-  std::string blob;
-  bool existed = false;
-  if (!read_file(path, &blob, &existed)) {
-    // Vanished between open and read: the owner released. Don't retry in a
-    // loop — the caller treats busy as "skip this cell", duplicates of the
-    // unclaimed-cell scan are cheap.
-    return finish(ClaimOutcome::kBusy);
-  }
-  std::uint64_t gen = 0;
-  long long owner = 0;
-  if (parse_claim(blob, &gen, &owner) && pid_alive(owner)) {
-    return finish(ClaimOutcome::kBusy);
-  }
-  // Reclaim: write the successor claim aside and atomically rename it over
-  // the stale one. Two racing reclaimers both "win" benignly — the cell
-  // computes twice, entry publication is last-writer-wins.
-  const std::string tmp = path + ".tmp." + std::to_string(self);
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return finish(ClaimOutcome::kBusy);
-  const std::string line = claim_line(gen + 1, self) + "\n";
-  const bool wrote = std::fwrite(line.data(), 1, line.size(), f) == line.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!(wrote && closed) || std::rename(tmp.c_str(), path.c_str()) != 0) {
-    (void)std::remove(tmp.c_str());
-    return finish(ClaimOutcome::kBusy);
-  }
-  return finish(ClaimOutcome::kAcquired);
-}
-
-void CellStore::release_claim(std::uint64_t key) const {
-  (void)std::remove(claim_path(key).c_str());
 }
 
 std::vector<CellIndexEntry> CellStore::scan_index(std::uint64_t* corrupt) const {

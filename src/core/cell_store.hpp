@@ -65,11 +65,6 @@ struct CellStoreCounters {
   std::uint64_t key_mismatches = 0;  ///< of misses: hash collisions
   std::uint64_t bytes_read = 0;      ///< payload+header bytes of served hits
   std::uint64_t bytes_written = 0;   ///< payload+header bytes persisted
-  /// Claim-protocol telemetry (sharded sweeps; see try_claim). Reported as
-  /// part of the `campaign.sched.*` group, not `campaign.store.*`: claims
-  /// only happen when the sharded scheduler runs.
-  std::uint64_t claims = 0;        ///< claims acquired (fresh or reclaimed)
-  std::uint64_t claim_races = 0;   ///< claims lost to a live owner
 };
 
 /// One store entry as seen by a read-only index scan (mkos-query): the full
@@ -124,41 +119,6 @@ class CellStore {
   /// rebuilding its statistics — the resumable-sweep probe. Counts exactly
   /// like load(): a verified entry is a hit, anything else a miss.
   [[nodiscard]] bool contains(std::uint64_t key, const CellKey& id) MKOS_EXCLUDES(mu_);
-
-  /// Cheap existence probe: does an entry file for `key` exist at all? No
-  /// verification, no counters — sharded stealers use it to skip cells a
-  /// sibling already published (a corrupt file reads as present; the merge
-  /// pass's verified load recomputes it).
-  [[nodiscard]] bool has_entry(std::uint64_t key) const;
-
-  // ---- cross-process claim protocol (sharded sweeps, DESIGN.md §16) ----
-  //
-  // A claim is `<root>/<16-hex key>.claim` holding one line:
-  //
-  //   mkos-claim v1 gen=<generation> pid=<owner pid>\n
-  //
-  // Creation is O_EXCL (atomic claim-or-lose). A claim whose owner pid is no
-  // longer alive — the shard crashed — is reclaimed by atomically renaming a
-  // rewritten claim with a bumped generation over it (the PR 8 temp+rename
-  // discipline); the generation records how many owners the claim outlived.
-  // Losing a reclaim race, or double-computing a cell because a claim was
-  // reclaimed while its owner still lived behind a PID collision, is benign:
-  // cell content is deterministic, entry writes are last-writer-wins atomic
-  // renames. Unsharded runs never consult claims, so a merge pass always
-  // completes regardless of leftover claim files.
-
-  enum class ClaimOutcome : std::uint8_t { kAcquired, kBusy };
-
-  /// Try to claim `key` for this process. kBusy when a live process holds
-  /// it (counted as a claim race); dead-owner and unparseable claims are
-  /// reclaimed. Callers must release_claim() after publishing the entry.
-  [[nodiscard]] ClaimOutcome try_claim(std::uint64_t key) MKOS_EXCLUDES(mu_);
-
-  /// Drop this process's claim on `key` (best-effort unlink).
-  void release_claim(std::uint64_t key) const;
-
-  /// `<root>/<16-hex key>.claim`.
-  [[nodiscard]] std::string claim_path(std::uint64_t key) const;
 
   /// Read-only scan of every `.cell` entry under the root, in sorted
   /// filename order. Each file is mmap-ed, header/checksum/schema-verified

@@ -1,6 +1,5 @@
 #include "fault/injector.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace mkos::fault {
@@ -8,14 +7,7 @@ namespace mkos::fault {
 Injector::Injector(Plan plan) : plan_(std::move(plan)) {}
 
 const std::vector<FaultEvent>& Injector::advance(sim::TimeNs to) {
-  fired_.clear();
-  for (const FaultEvent& e : plan_.take_until(to)) {
-    // A fixed event may predate the queue clock (added "in the past" of the
-    // first advance); clamp so the schedule stays admissible.
-    events_.schedule_at(std::max(e.at, events_.now()),
-                        [this, e] { fired_.push_back(e); });
-  }
-  events_.run_until(to);
+  fired_ = plan_.take_until(to);
   activated_ += fired_.size();
   return fired_;
 }

@@ -1,13 +1,11 @@
 #pragma once
 // The fault injector: activates a Plan's events at simulated timestamps.
 //
-// The injector owns a sim::EventQueue of its own — the fault timeline is a
-// discrete-event system running alongside the analytic per-sync clock
-// advance. On every advance(to) the plan's events up to `to` are scheduled
-// into the queue and executed in time order (FIFO among equal timestamps,
-// the queue's contract), and the batch that fired is handed back to the
-// caller. The runtime's recovery layer consumes those batches at
-// synchronization boundaries — the points where a bulk-synchronous code
+// On every advance(to) the plan's events before `to` are popped in (time,
+// generation) order — FIFO among equal timestamps, the order
+// Plan::take_until already guarantees — and the batch that fired is handed
+// back to the caller. The runtime's recovery layer consumes those batches
+// at synchronization boundaries — the points where a bulk-synchronous code
 // would actually observe a failure.
 //
 // advance() is monotone and deterministic: same plan, same sequence of
@@ -18,7 +16,6 @@
 #include <vector>
 
 #include "fault/fault.hpp"
-#include "sim/event_queue.hpp"
 
 namespace mkos::fault {
 
@@ -27,17 +24,16 @@ class Injector {
   explicit Injector(Plan plan);
 
   /// Advance the fault timeline to progress time `to`; returns the events
-  /// that fired in (time, schedule) order. The returned reference is valid
-  /// until the next advance() call.
+  /// with `at` strictly before `to` that had not fired yet, in (time,
+  /// generation) order. The returned reference is valid until the next
+  /// advance() call.
   [[nodiscard]] const std::vector<FaultEvent>& advance(sim::TimeNs to);
 
-  [[nodiscard]] sim::TimeNs now() const { return events_.now(); }
   [[nodiscard]] std::uint64_t activated() const { return activated_; }
   [[nodiscard]] const Plan& plan() const { return plan_; }
 
  private:
   Plan plan_;
-  sim::EventQueue events_;
   std::vector<FaultEvent> fired_;
   std::uint64_t activated_ = 0;
 };

@@ -8,9 +8,9 @@
 //  * SchedulerModel — the cost/behaviour summary the performance pipeline
 //    uses (context-switch price, tick interference, sched_yield price, and
 //    whether glibc's sched_yield() is hijacked into a no-op).
-//  * CoopScheduler  — a functional cooperative round-robin runqueue driven
-//    by the event queue; exercised by the unit tests and the scheduler
-//    micro-bench so the claimed behaviour is demonstrable, not asserted.
+//  * CoopScheduler  — a functional cooperative round-robin runqueue;
+//    exercised by the unit tests and the scheduler micro-bench so the
+//    claimed behaviour is demonstrable, not asserted.
 
 #include <cstdint>
 #include <deque>
@@ -18,7 +18,6 @@
 #include <optional>
 #include <vector>
 
-#include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 
 namespace mkos::kernel {

@@ -232,7 +232,6 @@ void MpiWorld::heap_cycle(std::span<const std::int64_t> deltas) {
                                   static_cast<std::uint64_t>(lanes));
       ++engine_.heap_slow_lanes;
       engine_.heap_fast_lanes += static_cast<std::uint64_t>(lanes - 1);
-      ++engine_.heap_memo_hits;
       return;
     }
   }
@@ -272,7 +271,6 @@ void MpiWorld::heap_cycle(std::span<const std::int64_t> deltas) {
     k.note_replayed_local_calls(static_cast<std::uint64_t>(deltas.size()) *
                                 static_cast<std::uint64_t>(lanes - 1));
     engine_.heap_fast_lanes += static_cast<std::uint64_t>(lanes - 1);
-    ++engine_.heap_memo_misses;
     if (heap_memo_.size() < kHeapMemoCap) {
       HeapCycleMemo m;
       m.deltas.assign(deltas.begin(), deltas.end());
@@ -334,7 +332,7 @@ void MpiWorld::synchronize(std::uint64_t sync_cores, sim::TimeNs comm, SyncKind 
 
 sim::TimeNs MpiWorld::message_cost(sim::Bytes bytes) {
   if (fast_paths_) {
-    if (const sim::TimeNs* hit = msg_cache_.find(bytes, engine_.msg_cache_probes)) {
+    if (const sim::TimeNs* hit = msg_cache_.find(bytes)) {
       ++engine_.msg_cache_hits;
       return *hit;
     }
@@ -368,7 +366,7 @@ sim::TimeNs MpiWorld::collective_cost(sim::Bytes bytes) {
       coll_cache_.clear();
       coll_cache_model_ = coll_;
     }
-    if (const CollCosts* hit = coll_cache_.find(bytes, engine_.coll_cache_probes)) {
+    if (const CollCosts* hit = coll_cache_.find(bytes)) {
       base = hit->base;
       stages = hit->stages;
       have = true;

@@ -145,13 +145,6 @@ class MKOS_THREAD_CONFINED("one campaign cell task") MpiWorld {
     std::uint64_t coll_cache_misses = 0;
     std::uint64_t msg_cache_hits = 0;     ///< point-to-point cost cache hits
     std::uint64_t msg_cache_misses = 0;
-    // Data-layout engine telemetry (DESIGN.md §13). Deliberately NOT part of
-    // obs::record_world's ledger block — the pre-rewrite ledgers stay
-    // byte-identical; bench/event_queue surfaces these as engine.cache.*.
-    std::uint64_t coll_cache_probes = 0;  ///< open-table cells inspected
-    std::uint64_t msg_cache_probes = 0;
-    std::uint64_t heap_memo_hits = 0;     ///< whole brk cycles replayed from memo
-    std::uint64_t heap_memo_misses = 0;   ///< symmetric cycles simulated + recorded
   };
   [[nodiscard]] const EngineCounters& engine_counters() const { return engine_; }
   /// Analytic-vs-exact draw tallies of the noise samplers for this world.
@@ -246,10 +239,8 @@ class MKOS_THREAD_CONFINED("one campaign cell task") MpiWorld {
       x ^= x >> 33;
       return static_cast<std::size_t>(x) & (kSlots - 1);
     }
-    /// `probes` tallies cells inspected (engine.cache.* telemetry).
-    [[nodiscard]] const V* find(sim::Bytes key, std::uint64_t& probes) const {
+    [[nodiscard]] const V* find(sim::Bytes key) const {
       for (std::size_t i = slot_of(key);; i = (i + 1) & (kSlots - 1)) {
-        ++probes;
         if (!cells[i].used) return nullptr;
         if (cells[i].key == key) return &cells[i].value;
       }

@@ -1,4 +1,4 @@
-// Fixture: naked-new — manual new/delete outside src/sim/.
+// Fixture: naked-new — manual new/delete.
 
 namespace mkos::fixtures {
 

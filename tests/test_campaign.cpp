@@ -138,68 +138,6 @@ TEST(AppCostWeight, LuleshCarriesTheSkewAndUnknownsDegradeToUnit) {
   EXPECT_DOUBLE_EQ(workloads::app_cost_weight("NoSuchApp"), 1.0);
 }
 
-// -------------------------------------------------------------- shard spec
-
-TEST(ShardSpec, FromEnvDefaultsToUnshardedAndParsesSlices) {
-  ASSERT_EQ(unsetenv(ShardSpec::kEnvVar), 0);
-  EXPECT_FALSE(ShardSpec::from_env().sharded());
-  EXPECT_EQ(ShardSpec::from_env().count, 1);
-  ASSERT_EQ(setenv(ShardSpec::kEnvVar, "", 1), 0);
-  EXPECT_FALSE(ShardSpec::from_env().sharded());
-  ASSERT_EQ(setenv(ShardSpec::kEnvVar, "1/4", 1), 0);
-  const ShardSpec s = ShardSpec::from_env();
-  EXPECT_TRUE(s.sharded());
-  EXPECT_EQ(s.index, 1);
-  EXPECT_EQ(s.count, 4);
-  ASSERT_EQ(setenv(ShardSpec::kEnvVar, "0/1", 1), 0);
-  EXPECT_FALSE(ShardSpec::from_env().sharded());  // explicit singleton
-  ASSERT_EQ(unsetenv(ShardSpec::kEnvVar), 0);
-}
-
-TEST(ShardSpec, FromEnvRejectsGarbage) {
-  for (const char* bad : {"2", "a/b", "3/2", "2/2", "-1/2", "0/5000", "1/0"}) {
-    ASSERT_EQ(setenv(ShardSpec::kEnvVar, bad, 1), 0);
-    EXPECT_EXIT((void)ShardSpec::from_env(), ::testing::ExitedWithCode(2),
-                "MKOS_SHARD")
-        << bad;
-  }
-  ASSERT_EQ(unsetenv(ShardSpec::kEnvVar), 0);
-}
-
-TEST(ShardSpec, SlicesPartitionTheGridExactly) {
-  // Without a store there is no stealing: shard i simulates exactly its
-  // keyspace slice and skips the rest — the union over shards is the full
-  // grid, pairwise disjoint.
-  CampaignSpec spec;
-  spec.apps = {"MiniFE", "HPCG"};
-  spec.configs = {SystemConfig::linux_default(), SystemConfig::mckernel()};
-  spec.nodes = {16, 32};
-  spec.reps = 1;
-  spec.seed = 11;
-
-  sim::ThreadPool pool(2);
-  std::set<std::size_t> owned;
-  for (int shard = 0; shard < 3; ++shard) {
-    CellCache cache;
-    Campaign campaign(pool, cache);
-    CampaignSpec sliced = spec;
-    sliced.shard = ShardSpec{shard, 3};
-    const auto cells = campaign.run(sliced);
-    ASSERT_EQ(cells.size(), 8u);
-    std::uint64_t skipped = 0;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (cells[i].skipped) {
-        EXPECT_EQ(cells[i].stats.fom.count(), 0u);
-        ++skipped;
-        continue;
-      }
-      EXPECT_TRUE(owned.insert(i).second) << "cell " << i << " simulated twice";
-    }
-    EXPECT_EQ(campaign.telemetry().foreign_skipped, skipped);
-  }
-  EXPECT_EQ(owned.size(), 8u);
-}
-
 // ------------------------------------------------------------ fingerprints
 
 TEST(Fingerprint, DistinguishesEveryKnob) {

@@ -4,8 +4,6 @@
 // collisions on disk, and the resumable-sweep mode.
 
 #include <gtest/gtest.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -282,91 +280,11 @@ TEST(CellStore, ResumeSkipsStoredCellsWithoutLoadingThem) {
   EXPECT_EQ(campaign.telemetry().skipped, 3u);
 }
 
-// ------------------------------------------------------------------ claims
-
-TEST(CellStore, ClaimLifecycle) {
-  const StoreDir tmp("claims");
-  CellStore store(tmp.path());
-  ASSERT_EQ(store.try_claim(kKey), CellStore::ClaimOutcome::kAcquired);
-  EXPECT_TRUE(fs::exists(store.claim_path(kKey)));
-  // The holder is this process and alive: a second attempt loses the race.
-  EXPECT_EQ(store.try_claim(kKey), CellStore::ClaimOutcome::kBusy);
-  EXPECT_EQ(store.counters().claims, 1u);
-  EXPECT_EQ(store.counters().claim_races, 1u);
-
-  store.release_claim(kKey);
-  EXPECT_FALSE(fs::exists(store.claim_path(kKey)));
-  EXPECT_EQ(store.try_claim(kKey), CellStore::ClaimOutcome::kAcquired);
-  EXPECT_EQ(store.counters().claims, 2u);
-  store.release_claim(kKey);
-}
-
-TEST(CellStore, StaleClaimFromADeadProcessIsReclaimed) {
-  const StoreDir tmp("stale_claim");
-  CellStore store(tmp.path());
-
-  // A real pid that is guaranteed dead: fork a child that exits at once,
-  // reap it, then write its pid into a claim — the orphan a crashed shard
-  // would leave behind.
-  const pid_t child = fork();
-  ASSERT_GE(child, 0);
-  if (child == 0) _exit(0);
-  int status = 0;
-  ASSERT_EQ(waitpid(child, &status, 0), child);
-  write_file(store.claim_path(kKey),
-             "mkos-claim v1 gen=3 pid=" + std::to_string(child) + "\n");
-
-  EXPECT_EQ(store.try_claim(kKey), CellStore::ClaimOutcome::kAcquired);
-  EXPECT_EQ(store.counters().claims, 1u);
-  EXPECT_EQ(store.counters().claim_races, 0u);
-  // The reclaimed claim names the new owner and records the succession.
-  const std::string reclaimed = read_file(store.claim_path(kKey));
-  EXPECT_NE(reclaimed.find("gen=4"), std::string::npos) << reclaimed;
-  EXPECT_NE(reclaimed.find("pid=" + std::to_string(getpid())),
-            std::string::npos)
-      << reclaimed;
-  store.release_claim(kKey);
-}
-
-TEST(CellStore, UnparseableClaimIsReclaimedNotTrusted) {
-  const StoreDir tmp("garbage_claim");
-  CellStore store(tmp.path());
-  write_file(store.claim_path(kKey), "not a claim file\n");
-  EXPECT_EQ(store.try_claim(kKey), CellStore::ClaimOutcome::kAcquired);
-  store.release_claim(kKey);
-}
-
-TEST(CellStore, ClaimsDoNotBlockUnshardedRuns) {
-  // Leftover claim files — a crashed shard's droppings — must never stall a
-  // merge pass: unsharded runs ignore claims entirely.
-  const StoreDir tmp("claims_merge");
-  CampaignSpec spec;
-  spec.apps = {"MiniFE"};
-  spec.configs = {SystemConfig::mckernel()};
-  spec.nodes = {16};
-  spec.reps = 1;
-  spec.seed = 13;
-
-  CellStore store(tmp.path());
-  const std::uint64_t key = cell_cache_key(
-      "MiniFE", SystemConfig::mckernel(), 16, spec.reps, spec.seed);
-  ASSERT_EQ(store.try_claim(key), CellStore::ClaimOutcome::kAcquired);
-
-  sim::ThreadPool pool(2);
-  CellCache cache(&store);
-  Campaign campaign(pool, cache);
-  const auto cells = campaign.run(spec);
-  ASSERT_EQ(cells.size(), 1u);
-  EXPECT_FALSE(cells[0].skipped);
-  EXPECT_GT(cells[0].stats.fom.count(), 0u);
-  EXPECT_EQ(store.counters().writes, 1u);
-}
-
 // ------------------------------------------------------- cross-process races
 
 TEST(CellStore, ConcurrentWritersOfOneCellLastWriterWinsNoTornFile) {
-  // Two shards racing to publish the same fingerprint (a reclaimed claim
-  // whose original owner still lived, say) must end with ONE valid entry:
+  // Two processes sharing one MKOS_CELL_STORE that compute the same cell
+  // race to publish one fingerprint and must end with ONE valid entry:
   // entry writes are temp+rename, so a reader may see either version or a
   // miss-before-first-write — never a torn file, never quarantine.
   const StoreDir tmp("write_race");
@@ -405,97 +323,6 @@ TEST(CellStore, ConcurrentWritersOfOneCellLastWriterWinsNoTornFile) {
   const std::size_t n = final_read->fom.samples().size();
   EXPECT_TRUE(n == stats_a.fom.samples().size() ||
               n == stats_b.fom.samples().size());
-}
-
-TEST(CellStore, ShardedRunsMergeByteIdenticalToDirectSimulation) {
-  const StoreDir tmp("sharded_merge");
-  CampaignSpec spec;
-  spec.apps = {"MiniFE", "HPCG"};
-  spec.configs = {SystemConfig::linux_default(), SystemConfig::mos()};
-  spec.nodes = {16, 32};
-  spec.reps = 2;
-  spec.seed = 17;
-
-  // Reference: direct unsharded simulation, no store.
-  sim::ThreadPool pool(2);
-  CellCache direct_cache;
-  Campaign direct(pool, direct_cache);
-  const auto reference = direct.run(spec);
-  ASSERT_EQ(reference.size(), 8u);
-
-  // Two shards fill one store. Run sequentially: shard 1 then finds shard
-  // 0's cells already published and steals nothing — the claim/skip logic
-  // still runs in full.
-  for (int shard = 0; shard < 2; ++shard) {
-    CellStore store(tmp.path());
-    CellCache cache(&store);
-    Campaign campaign(pool, cache);
-    CampaignSpec sliced = spec;
-    sliced.shard = ShardSpec{shard, 2};
-    (void)campaign.run(sliced);
-  }
-
-  // Merge: unsharded over the warm store — all disk hits, zero writes,
-  // ledgers byte-identical to direct simulation.
-  CellStore merge_store(tmp.path());
-  CellCache merge_cache(&merge_store);
-  Campaign merge(pool, merge_cache);
-  const auto merged = merge.run(spec);
-  ASSERT_EQ(merged.size(), reference.size());
-  EXPECT_EQ(merge_store.counters().writes, 0u);
-  EXPECT_EQ(merge_store.counters().misses, 0u);
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    EXPECT_FALSE(merged[i].skipped);
-    EXPECT_EQ(merged[i].app, reference[i].app);
-    EXPECT_EQ(merged[i].nodes, reference[i].nodes);
-    EXPECT_EQ(merged[i].stats.fom.samples(), reference[i].stats.fom.samples());
-    EXPECT_EQ(merged[i].stats.ledger.to_json(),
-              reference[i].stats.ledger.to_json());
-  }
-}
-
-TEST(CellStore, ShardStealsUnclaimedForeignCellsThroughTheStore) {
-  // A lone shard over a shared store finishes its slice, then steals the
-  // unclaimed foreign cells instead of idling: the full grid lands on disk
-  // from a single sharded process.
-  const StoreDir tmp("steal_all");
-  CampaignSpec spec;
-  spec.apps = {"MiniFE"};
-  spec.configs = {SystemConfig::linux_default(), SystemConfig::mckernel()};
-  spec.nodes = {16, 32};
-  spec.reps = 1;
-  spec.seed = 19;
-
-  // The keyspace split is a pure function of the cell keys: count the cells
-  // shard 0 will have to steal, and require the grid genuinely exercises
-  // both the owned and the stolen path.
-  std::uint64_t foreign_count = 0;
-  for (const SystemConfig& config : spec.configs) {
-    for (const int nodes : spec.nodes) {
-      if (cell_cache_key("MiniFE", config, nodes, spec.reps, spec.seed) % 2 != 0) {
-        ++foreign_count;
-      }
-    }
-  }
-  ASSERT_GT(foreign_count, 0u);
-  ASSERT_LT(foreign_count, 4u);
-
-  sim::ThreadPool pool(2);
-  CellStore store(tmp.path());
-  CellCache cache(&store);
-  Campaign campaign(pool, cache);
-  CampaignSpec sliced = spec;
-  sliced.shard = ShardSpec{0, 2};
-  const auto cells = campaign.run(sliced);
-  ASSERT_EQ(cells.size(), 4u);
-  for (const auto& cell : cells) EXPECT_FALSE(cell.skipped);
-  EXPECT_EQ(store.counters().writes, 4u);
-  const CampaignTelemetry& t = campaign.telemetry();
-  EXPECT_EQ(t.stolen_cells, foreign_count);
-  EXPECT_EQ(t.foreign_skipped, 0u);
-  // Every simulated cell — owned or stolen — was claimed exactly once.
-  EXPECT_EQ(t.sched_claims, 4u);
-  EXPECT_EQ(t.sched_claim_races, 0u);
 }
 
 // --------------------------------------------------------------- plumbing

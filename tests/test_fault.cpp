@@ -131,17 +131,39 @@ TEST(FaultInjector, FiresScheduledEventsOnce) {
 }
 
 TEST(FaultInjector, ClampsEventsAddedInThePast) {
-  // An event timestamped before the injector's clock (advance already moved
-  // past it) must still fire, at the current clock, not violate the queue's
-  // schedule_at precondition.
+  // A batch spanning many generated arrivals comes back in time order:
+  // take_until pops everything before each horizon, so no event can land
+  // behind an earlier advance's horizon.
   fault::Spec spec;
   spec.straggler_rate_hz = 50.0;
   fault::Injector inj{Plan::generate(spec, 64, 3)};
   (void)inj.advance(sim::milliseconds(100));
   const auto& late = inj.advance(sim::seconds(10));
   for (std::size_t i = 1; i < late.size(); ++i) {
-    EXPECT_GE(late[i].at, late[i - 1].at);  // order preserved after clamping
+    EXPECT_GE(late[i].at, late[i - 1].at);
   }
+}
+
+TEST(FaultInjector, EqualTimestampsFireInAddOrderAndTheHorizonIsExclusive) {
+  Plan plan;
+  plan.add({TimeNs{50}, FaultKind::kDaemonStorm, 0, 0, TimeNs{0}})
+      .add({TimeNs{50}, FaultKind::kStraggler, 1, 0, TimeNs{0}})
+      .add({TimeNs{20}, FaultKind::kIkcDrop, 2, 0, TimeNs{0}})
+      .add({TimeNs{50}, FaultKind::kNodeFailStop, 3, 0, TimeNs{0}});
+  fault::Injector inj{std::move(plan)};
+  // The event at exactly the horizon waits for the next advance.
+  EXPECT_TRUE(inj.advance(TimeNs{20}).empty());
+  const std::vector<FaultEvent> second = inj.advance(TimeNs{50});
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(second[0].kind, FaultKind::kIkcDrop);
+  EXPECT_EQ(second[0].at, TimeNs{20});
+  // Equal timestamps keep Plan::add (sequence) order, not kind or node order.
+  const std::vector<FaultEvent> third = inj.advance(TimeNs{51});
+  ASSERT_EQ(third.size(), 3u);
+  EXPECT_EQ(third[0].kind, FaultKind::kDaemonStorm);
+  EXPECT_EQ(third[1].kind, FaultKind::kStraggler);
+  EXPECT_EQ(third[2].kind, FaultKind::kNodeFailStop);
+  EXPECT_EQ(inj.activated(), 4u);
 }
 
 // ---------------------------------------------------- config fingerprints

@@ -1,10 +1,9 @@
-// Unit tests: simulation kernel (time, rng, stats, event queue).
+// Unit tests: simulation kernel (time, rng, stats).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
@@ -155,72 +154,6 @@ TEST(RunningStat, MatchesBatch) {
   EXPECT_NEAR(std::sqrt(rs.variance()), s.stddev(), 1e-9);
   EXPECT_DOUBLE_EQ(rs.min(), s.min());
   EXPECT_DOUBLE_EQ(rs.max(), s.max());
-}
-
-// -------------------------------------------------------------- EventQueue
-
-TEST(EventQueue, ExecutesInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(TimeNs{30}, [&] { order.push_back(3); });
-  q.schedule_at(TimeNs{10}, [&] { order.push_back(1); });
-  q.schedule_at(TimeNs{20}, [&] { order.push_back(2); });
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(q.now().ns(), 30);
-}
-
-TEST(EventQueue, FifoAmongSimultaneous) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    q.schedule_at(TimeNs{100}, [&order, i] { order.push_back(i); });
-  }
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  int fired = 0;
-  const EventId id = q.schedule_at(TimeNs{10}, [&] { ++fired; });
-  q.schedule_at(TimeNs{20}, [&] { ++fired; });
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_FALSE(q.cancel(id));  // second cancel is a no-op
-  q.run();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, RunUntilStopsAtLimit) {
-  EventQueue q;
-  int fired = 0;
-  q.schedule_at(TimeNs{10}, [&] { ++fired; });
-  q.schedule_at(TimeNs{20}, [&] { ++fired; });
-  q.schedule_at(TimeNs{30}, [&] { ++fired; });
-  q.run_until(TimeNs{20});
-  EXPECT_EQ(fired, 2);  // inclusive at the limit
-  EXPECT_EQ(q.now().ns(), 20);
-  EXPECT_EQ(q.pending(), 1u);
-}
-
-TEST(EventQueue, EventsCanScheduleEvents) {
-  EventQueue q;
-  int depth = 0;
-  std::function<void()> chain = [&] {
-    if (++depth < 5) q.schedule_after(TimeNs{10}, chain);
-  };
-  q.schedule_at(TimeNs{0}, chain);
-  q.run();
-  EXPECT_EQ(depth, 5);
-  EXPECT_EQ(q.now().ns(), 40);
-  EXPECT_EQ(q.executed(), 5u);
-}
-
-TEST(EventQueue, SchedulingInPastIsRejected) {
-  EventQueue q;
-  q.schedule_at(TimeNs{50}, [] {});
-  q.run();
-  EXPECT_DEATH(q.schedule_at(TimeNs{10}, [] {}), "precondition");
 }
 
 }  // namespace

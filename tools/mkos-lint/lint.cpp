@@ -79,8 +79,6 @@ bool clock_allowlisted(std::string_view rel) {
   return rel == "src/core/campaign.cpp" || starts_with(rel, "src/sim/thread_pool.");
 }
 
-bool naked_new_allowed(std::string_view rel) { return starts_with(rel, "src/sim/"); }
-
 bool float_scoped(std::string_view rel) { return starts_with(rel, "src/"); }
 
 // --- Allow annotations -----------------------------------------------------
@@ -261,21 +259,18 @@ void scan_raw_assert(const FileScan& f) {
 }
 
 void scan_naked_new(const FileScan& f) {
-  if (naked_new_allowed(f.rel)) return;
   for (std::size_t i = 0; i < f.lines.size(); ++i) {
     const CleanLine& ln = f.lines[i];
     if (ln.preprocessor) continue;
     if (find_ident(ln.code, "new") != std::string_view::npos) {
       f.add(static_cast<int>(i + 1), "naked-new",
-            "naked 'new' outside src/sim/; use std::make_unique or a "
-            "container");
+            "naked 'new'; use std::make_unique or a container");
     }
     const std::size_t dpos = find_ident(ln.code, "delete");
     if (dpos != std::string_view::npos &&
         prev_sig_char(ln.code, dpos) != '=') {  // `= delete` declarations are fine
       f.add(static_cast<int>(i + 1), "naked-new",
-            "naked 'delete' outside src/sim/; let an owner's destructor "
-            "release it");
+            "naked 'delete'; let an owner's destructor release it");
     }
   }
 }

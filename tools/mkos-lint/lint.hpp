@@ -30,7 +30,7 @@
 //                    implementation-defined and leaks into results.
 //   raw-assert       assert() — use MKOS_EXPECTS/ENSURES/ASSERT so the
 //                    check survives NDEBUG and respects throw mode.
-//   naked-new        new/delete outside src/sim/ — use RAII owners.
+//   naked-new        new/delete anywhere — use RAII owners.
 //   header-hygiene   every header starts with #pragma once and declares
 //                    into the mkos:: namespace.
 //   float-arith      `float` under src/ — accounting/units paths are

@@ -2,9 +2,9 @@
 //
 // The campaign CellStore (src/core/cell_store.hpp) accumulates every
 // simulated (app × config × nodes × reps × seed) cell across sweeps and
-// shards. This tool turns that warm store into an answer service: it scans
-// the store index exactly once at startup (each entry is mmap-ed, verified
-// and reduced to its key + figure-of-merit samples) and then answers
+// processes. This tool turns that warm store into an answer service: it
+// scans the store index exactly once at startup (each entry is mmap-ed,
+// verified and reduced to its key + figure-of-merit samples) and then answers
 // "which kernel configuration is best for workload W at N nodes?" from the
 // in-memory index — no simulation, interactive latency.
 //
