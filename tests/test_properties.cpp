@@ -76,8 +76,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AllocatorProperty,
 
 // -------------------------------------------------------- heap invariants
 
+// The padding is an explicit, zeroed member: gtest names each case after the
+// raw bytes of its parameter, so implicit padding would put stack garbage
+// into the test names.
 struct HeapCase {
   bool hpc;
+  std::uint8_t pad[7];
   std::uint64_t seed;
 };
 
@@ -86,7 +90,8 @@ class HeapProperty : public ::testing::TestWithParam<HeapCase> {};
 // Invariant: under any brk sequence, stats are consistent and the backed
 // range never exceeds physical capacity; HPC heaps never fault.
 TEST_P(HeapProperty, RandomBrkSequencesKeepInvariants) {
-  const auto [hpc, seed] = GetParam();
+  const bool hpc = GetParam().hpc;
+  const std::uint64_t seed = GetParam().seed;
   const hw::NodeTopology topo = hw::knl_snc4_flat();
   mem::PhysMemory phys{topo};
   mem::LwkHeapOptions opt;
@@ -129,8 +134,9 @@ TEST_P(HeapProperty, RandomBrkSequencesKeepInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, HeapProperty,
-    ::testing::Values(HeapCase{true, 11}, HeapCase{true, 22}, HeapCase{true, 33},
-                      HeapCase{false, 11}, HeapCase{false, 22}, HeapCase{false, 33}));
+    ::testing::Values(HeapCase{true, {}, 11}, HeapCase{true, {}, 22},
+                      HeapCase{true, {}, 33}, HeapCase{false, {}, 11},
+                      HeapCase{false, {}, 22}, HeapCase{false, {}, 33}));
 
 // ------------------------------------------------- placement conservation
 
