@@ -6,8 +6,8 @@
 
 #include "core/experiment.hpp"
 #include "core/obs_glue.hpp"
-#include "core/report.hpp"
 #include "runtime/simmpi.hpp"
+#include "sim/format.hpp"
 
 namespace {
 
@@ -35,14 +35,14 @@ double loop_time_us(const kernel::NoiseModel& noise, int nodes) {
 }  // namespace
 
 int main() {
-  core::print_banner("Ablation — noise tails vs collective collapse (D5)",
-                     "DESIGN.md Section 6; the Fig. 5b mechanism swept");
+  sim::print_banner("Ablation — noise tails vs collective collapse (D5)",
+                    "DESIGN.md Section 6; the Fig. 5b mechanism swept");
 
   obs::RunLedger ledger =
       core::bench_ledger("ablation_noise", "DESIGN.md Section 6 (D5)", 61);
 
   // Sweep the heavy-tail rate: where does a 200 us window double?
-  core::Table t{{"tail rate (1/s/core)", "64 nodes us", "512 nodes us", "2048 nodes us"}};
+  sim::Table t{{"tail rate (1/s/core)", "64 nodes us", "512 nodes us", "2048 nodes us"}};
   for (double rate : {0.0, 0.005, 0.02, 0.05, 0.15}) {
     kernel::NoiseModel m = kernel::noise_lwk();
     if (rate > 0) {
@@ -53,9 +53,9 @@ int main() {
     const double us64 = loop_time_us(m, 64);
     const double us512 = loop_time_us(m, 512);
     const double us2048 = loop_time_us(m, 2048);
-    t.add_row({core::fmt(rate, 3), core::fmt(us64, 1), core::fmt(us512, 1),
-               core::fmt(us2048, 1)});
-    const std::string key = "window_us.rate_" + core::fmt(rate, 3);
+    t.add_row({sim::fmt(rate, 3), sim::fmt(us64, 1), sim::fmt(us512, 1),
+               sim::fmt(us2048, 1)});
+    const std::string key = "window_us.rate_" + sim::fmt(rate, 3);
     ledger.set_gauge(key + ".n64", us64);
     ledger.set_gauge(key + ".n512", us512);
     ledger.set_gauge(key + ".n2048", us2048);
@@ -78,10 +78,10 @@ int main() {
   const double lwk = lwk_rs.median();
   const double lin = lin_rs.median();
   const double bad = bad_rs.median();
-  core::Table t2{{"MiniFE @256 nodes", "Mflops", "vs McKernel"}};
-  t2.add_row({"McKernel", core::fmt_sci(lwk), "100.0%"});
-  t2.add_row({"Linux nohz_full", core::fmt_sci(lin), core::fmt_pct(lin / lwk)});
-  t2.add_row({"Linux untuned", core::fmt_sci(bad), core::fmt_pct(bad / lwk)});
+  sim::Table t2{{"MiniFE @256 nodes", "Mflops", "vs McKernel"}};
+  t2.add_row({"McKernel", sim::fmt_sci(lwk), "100.0%"});
+  t2.add_row({"Linux nohz_full", sim::fmt_sci(lin), sim::fmt_pct(lin / lwk)});
+  t2.add_row({"Linux untuned", sim::fmt_sci(bad), sim::fmt_pct(bad / lwk)});
   std::printf("%s\n", t2.to_string().c_str());
 
   core::emit(ledger);

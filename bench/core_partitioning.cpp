@@ -6,7 +6,7 @@
 
 #include "core/experiment.hpp"
 #include "core/obs_glue.hpp"
-#include "core/report.hpp"
+#include "sim/format.hpp"
 
 namespace {
 
@@ -27,10 +27,10 @@ double hpcg_median(const SystemConfig& config, mkos::obs::RunLedger& ledger,
 int main() {
   using namespace mkos;
 
-  core::print_banner("Section III-A — application cores vs service cores (HPCG, 32 nodes)",
-                     "IPDPS'18; 'mOS using 64 or 66 cores beats Linux on 68 cores'");
+  sim::print_banner("Section III-A — application cores vs service cores (HPCG, 32 nodes)",
+                    "IPDPS'18; 'mOS using 64 or 66 cores beats Linux on 68 cores'");
 
-  core::Table table{{"configuration", "app cores", "GFLOP/s", "vs Linux 68c"}};
+  sim::Table table{{"configuration", "app cores", "GFLOP/s", "vs Linux 68c"}};
 
   obs::RunLedger ledger =
       core::bench_ledger("core_partitioning", "IPDPS'18 Section III-A", 41);
@@ -41,11 +41,11 @@ int main() {
   linux68.app_cores = 68;
   linux68.service_cores = 0;
   const double base = hpcg_median(linux68, ledger, "hpcg.linux_68c");
-  table.add_row({"Linux, all cores", "68", core::fmt(base, 1), "100.0%"});
+  table.add_row({"Linux, all cores", "68", sim::fmt(base, 1), "100.0%"});
 
   SystemConfig linux64 = SystemConfig::linux_default();
   const double l64 = hpcg_median(linux64, ledger, "hpcg.linux_64c");
-  table.add_row({"Linux, 4 reserved", "64", core::fmt(l64, 1), core::fmt_pct(l64 / base)});
+  table.add_row({"Linux, 4 reserved", "64", sim::fmt(l64, 1), sim::fmt_pct(l64 / base)});
 
   for (int cores : {64, 66}) {
     SystemConfig mos = SystemConfig::mos();
@@ -53,8 +53,8 @@ int main() {
     mos.service_cores = 68 - cores;
     const double v =
         hpcg_median(mos, ledger, "hpcg.mos_" + std::to_string(cores) + "c");
-    table.add_row({"mOS", std::to_string(cores), core::fmt(v, 1),
-                   core::fmt_pct(v / base)});
+    table.add_row({"mOS", std::to_string(cores), sim::fmt(v, 1),
+                   sim::fmt_pct(v / base)});
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf("expected ordering: mOS 64c and 66c above Linux 68c — reserving cores\n"

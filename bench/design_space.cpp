@@ -18,9 +18,9 @@
 
 #include "core/campaign.hpp"
 #include "core/obs_glue.hpp"
-#include "core/report.hpp"
 #include "hw/knl.hpp"
 #include "kernel/node.hpp"
+#include "sim/format.hpp"
 
 namespace {
 
@@ -31,8 +31,8 @@ using mkos::core::SystemConfig;
 int main() {
   using namespace mkos;
 
-  core::print_banner("Design space — Linux vs McKernel vs mOS vs FusedOS",
-                     "Fig. 1 quantified; FusedOS per Section V-C");
+  sim::print_banner("Design space — Linux vs McKernel vs mOS vs FusedOS",
+                    "Fig. 1 quantified; FusedOS per Section V-C");
 
   struct Row {
     const char* label;
@@ -57,7 +57,7 @@ int main() {
   obs::RunLedger ledger = core::bench_ledger("design_space", "Fig. 1 quantified", 81);
 
   std::set<std::string> recorded;
-  core::Table table{{"workload", "Linux", "McKernel", "mOS", "FusedOS"}};
+  sim::Table table{{"workload", "Linux", "McKernel", "mOS", "FusedOS"}};
   for (const Row& row : rows) {
     core::CampaignSpec spec;
     spec.apps = {row.app};
@@ -78,15 +78,15 @@ int main() {
       core::record_run_stats(ledger, series, cell.stats);
     }
     const double lin = cells[0].stats.median();
-    table.add_row({row.label, "100.0%", core::fmt_pct(cells[1].stats.median() / lin),
-                   core::fmt_pct(cells[2].stats.median() / lin),
-                   core::fmt_pct(cells[3].stats.median() / lin)});
+    table.add_row({row.label, "100.0%", sim::fmt_pct(cells[1].stats.median() / lin),
+                   sim::fmt_pct(cells[2].stats.median() / lin),
+                   sim::fmt_pct(cells[3].stats.median() / lin)});
   }
   std::printf("%s\n", table.to_string().c_str());
 
   // Where the designs structurally differ: the price of the calls HPC
   // codes issue on the critical path.
-  core::Table lat{{"syscall latency (ns)", "Linux", "McKernel", "mOS", "FusedOS"}};
+  sim::Table lat{{"syscall latency (ns)", "Linux", "McKernel", "mOS", "FusedOS"}};
   std::vector<std::unique_ptr<kernel::Node>> nodes;
   std::vector<kernel::Kernel*> kernels;
   std::uint64_t seed = 90;

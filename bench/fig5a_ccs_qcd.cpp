@@ -9,14 +9,14 @@
 
 #include "core/experiment.hpp"
 #include "core/obs_glue.hpp"
-#include "core/report.hpp"
+#include "sim/format.hpp"
 
 int main() {
   using namespace mkos;
   using core::SystemConfig;
 
-  core::print_banner("Fig. 5a — CCS-QCD, % of Linux median (4 ranks/node, 32 thr)",
-                     "IPDPS'18, Figure 5a; paper peaks: McKernel 139%, mOS 128%");
+  sim::print_banner("Fig. 5a — CCS-QCD, % of Linux median (4 ranks/node, 32 thr)",
+                    "IPDPS'18, Figure 5a; paper peaks: McKernel 139%, mOS 128%");
 
   auto app = workloads::make_ccs_qcd();
   constexpr int kReps = 5;
@@ -35,10 +35,10 @@ int main() {
   const auto mck_rel = core::relative_to(mck, lin);
   const auto mos_rel = core::relative_to(mos, lin);
 
-  core::Table table{{"nodes", "Linux Mflops/s/node", "McKernel %", "mOS %"}};
+  sim::Table table{{"nodes", "Linux Mflops/s/node", "McKernel %", "mOS %"}};
   for (std::size_t i = 0; i < lin.size(); ++i) {
-    table.add_row({std::to_string(lin[i].nodes), core::fmt_sci(lin[i].median),
-                   core::fmt_pct(mck_rel[i].ratio), core::fmt_pct(mos_rel[i].ratio)});
+    table.add_row({std::to_string(lin[i].nodes), sim::fmt_sci(lin[i].median),
+                   sim::fmt_pct(mck_rel[i].ratio), sim::fmt_pct(mos_rel[i].ratio)});
   }
   std::printf("%s\n", table.to_string().c_str());
 
@@ -47,7 +47,7 @@ int main() {
   for (const auto& p : mck_rel) mck_peak = std::max(mck_peak, p.ratio);
   for (const auto& p : mos_rel) mos_peak = std::max(mos_peak, p.ratio);
   std::printf("peaks     McKernel %s (paper 139%%)   mOS %s (paper 128%%)\n",
-              core::fmt_pct(mck_peak).c_str(), core::fmt_pct(mos_peak).c_str());
+              sim::fmt_pct(mck_peak).c_str(), sim::fmt_pct(mos_peak).c_str());
 
   core::record_scaling(ledger, "ccs_qcd.linux", lin);
   core::record_scaling(ledger, "ccs_qcd.mckernel", mck);

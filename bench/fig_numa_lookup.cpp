@@ -27,8 +27,8 @@
 
 #include "core/campaign.hpp"
 #include "core/obs_glue.hpp"
-#include "core/report.hpp"
 #include "sim/env.hpp"
+#include "sim/format.hpp"
 
 namespace {
 
@@ -93,7 +93,7 @@ int main() {
   opts.resume = sim::env_int("MKOS_NUMA_RESUME", 0, 0, 1) == 1;
   const int threads = sim::ThreadPool::default_threads();
 
-  core::print_banner(
+  sim::print_banner(
       "NUMA lookup — XSBench placement policies under the allocator model",
       "IPDPS'18 10.1109/IPDPS.2018.00022, Section III-C extension");
 
@@ -113,15 +113,15 @@ int main() {
     std::printf("partial sweep (resume): figure rendering deferred to a full run\n\n");
   } else {
     for (const auto& [config, by_app] : curves) {
-      core::Table table{{config + " nodes", "first-touch", "interleave", "mcdram",
-                         "mcdram/first-touch"}};
+      sim::Table table{{config + " nodes", "first-touch", "interleave", "mcdram",
+                        "mcdram/first-touch"}};
       const auto& ft = by_app.at("XSBench/first-touch");
       const auto& il = by_app.at("XSBench/interleave");
       const auto& mp = by_app.at("XSBench/mcdram");
       for (std::size_t i = 0; i < ft.size(); ++i) {
-        table.add_row({std::to_string(ft[i].nodes), core::fmt(ft[i].median, 0),
-                       core::fmt(il[i].median, 0), core::fmt(mp[i].median, 0),
-                       core::fmt(mp[i].median / ft[i].median, 3)});
+        table.add_row({std::to_string(ft[i].nodes), sim::fmt(ft[i].median, 0),
+                       sim::fmt(il[i].median, 0), sim::fmt(mp[i].median, 0),
+                       sim::fmt(mp[i].median / ft[i].median, 3)});
       }
       std::printf("%s\n", table.to_string().c_str());
       at_max[config]["first-touch"] = ft.back().median;
@@ -181,10 +181,10 @@ int main() {
     }
   }
   core::record_campaign(ledger, t, threads, store.get());
-  ledger.set_host("wall_s_serial", core::json_number(serial_s));
-  ledger.set_host("speedup", core::json_number(serial_s > 0.0 && parallel_s > 0.0
-                                                   ? serial_s / parallel_s
-                                                   : 0.0));
+  ledger.set_host("wall_s_serial", sim::json_number(serial_s));
+  ledger.set_host("speedup", sim::json_number(serial_s > 0.0 && parallel_s > 0.0
+                                                  ? serial_s / parallel_s
+                                                  : 0.0));
   core::emit(ledger);
   return 0;
 }

@@ -12,7 +12,7 @@
 
 #include "core/experiment.hpp"
 #include "core/obs_glue.hpp"
-#include "core/report.hpp"
+#include "sim/format.hpp"
 
 namespace {
 
@@ -33,8 +33,8 @@ double median(mkos::workloads::App& app, SystemConfig config, bool tenant, int n
 int main() {
   using namespace mkos;
 
-  core::print_banner("Extension — performance isolation under co-tenancy",
-                     "related work [31],[32] rerun at scale (256 nodes)");
+  sim::print_banner("Extension — performance isolation under co-tenancy",
+                    "related work [31],[32] rerun at scale (256 nodes)");
 
   struct Case {
     const char* name;
@@ -50,7 +50,7 @@ int main() {
   obs::RunLedger ledger =
       core::bench_ledger("isolation", "related work [31],[32] at 256 nodes", 71);
 
-  core::Table table{{"app @256 nodes", "OS", "alone", "with tenant", "retained"}};
+  sim::Table table{{"app @256 nodes", "OS", "alone", "with tenant", "retained"}};
   for (auto& c : cases) {
     for (const auto os : {kernel::OsKind::kLinux, kernel::OsKind::kMcKernel}) {
       const SystemConfig config = SystemConfig::for_os(os);
@@ -59,8 +59,8 @@ int main() {
       const double shared =
           median(*c.app, config, true, c.nodes, ledger, base + ".tenant");
       ledger.set_gauge("retained." + base, shared / alone);
-      table.add_row({c.name, config.label(), core::fmt_sci(alone), core::fmt_sci(shared),
-                     core::fmt_pct(shared / alone)});
+      table.add_row({c.name, config.label(), sim::fmt_sci(alone), sim::fmt_sci(shared),
+                     sim::fmt_pct(shared / alone)});
     }
   }
   std::printf("%s\n", table.to_string().c_str());

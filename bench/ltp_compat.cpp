@@ -11,15 +11,15 @@
 
 #include "compat/ltp.hpp"
 #include "core/obs_glue.hpp"
-#include "core/report.hpp"
 #include "hw/knl.hpp"
 #include "kernel/node.hpp"
+#include "sim/format.hpp"
 
 int main() {
   using namespace mkos;
 
-  core::print_banner("Section III-D — LTP system-call compatibility",
-                     "IPDPS'18; paper: McKernel 32/3328 fail, mOS 111/3328 fail");
+  sim::print_banner("Section III-D — LTP system-call compatibility",
+                    "IPDPS'18; paper: McKernel 32/3328 fail, mOS 111/3328 fail");
 
   const compat::LtpSuite suite = compat::LtpSuite::standard();
 
@@ -27,7 +27,7 @@ int main() {
   kernel::Node mck_node{hw::knl_snc4_flat(), kernel::NodeOsConfig::mckernel_default(), 2};
   kernel::Node mos_node{hw::knl_snc4_flat(), kernel::NodeOsConfig::mos_default(), 3};
 
-  core::Table table{{"kernel", "total", "failed", "paper failed"}};
+  sim::Table table{{"kernel", "total", "failed", "paper failed"}};
   std::vector<std::pair<std::string, compat::Report>> reports;
   for (kernel::Node* node : {&linux_node, &mck_node, &mos_node}) {
     kernel::Kernel& k = node->app_kernel();

@@ -6,7 +6,7 @@
 
 #include "core/campaign.hpp"
 #include "core/obs_glue.hpp"
-#include "core/report.hpp"
+#include "sim/format.hpp"
 
 namespace {
 
@@ -17,7 +17,7 @@ using mkos::core::SystemConfig;
 int main() {
   using namespace mkos;
 
-  core::print_banner(
+  sim::print_banner(
       "Section IV — McKernel proxy options: --mpol-shm-premap, --disable-sched-yield",
       "IPDPS'18; paper: +9% AMG 2013, +2% MiniFE at 16 nodes (combined)");
 
@@ -56,8 +56,8 @@ int main() {
     core::record_run_stats(ledger, series, cells[i].stats);
   }
 
-  core::Table table{{"app @16 nodes", "+premap only", "+yield only", "both",
-                     "paper (both)"}};
+  sim::Table table{{"app @16 nodes", "+premap only", "+yield only", "both",
+                    "paper (both)"}};
   struct Row {
     const char* label;
     std::size_t first_cell;  // cells are app-major, configs in spec order
@@ -69,8 +69,8 @@ int main() {
     const double p = cells[row.first_cell + 1].stats.median();
     const double y = cells[row.first_cell + 2].stats.median();
     const double b = cells[row.first_cell + 3].stats.median();
-    table.add_row({row.label, core::fmt_pct(p / base - 1.0), core::fmt_pct(y / base - 1.0),
-                   core::fmt_pct(b / base - 1.0), row.paper});
+    table.add_row({row.label, sim::fmt_pct(p / base - 1.0), sim::fmt_pct(y / base - 1.0),
+                   sim::fmt_pct(b / base - 1.0), row.paper});
     const std::string app = cells[row.first_cell].app;
     ledger.set_gauge("gain." + app + ".premap", p / base - 1.0);
     ledger.set_gauge("gain." + app + ".yield", y / base - 1.0);

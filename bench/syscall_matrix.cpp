@@ -9,17 +9,17 @@
 #include <cstdio>
 
 #include "core/obs_glue.hpp"
-#include "core/report.hpp"
 #include "hw/knl.hpp"
 #include "kernel/node.hpp"
+#include "sim/format.hpp"
 
 int main() {
   using namespace mkos;
   using kernel::Disposition;
   using kernel::Sys;
 
-  core::print_banner("Section II-D — system-call disposition matrix",
-                     "local / offloaded / partial / unsupported per kernel");
+  sim::print_banner("Section II-D — system-call disposition matrix",
+                    "local / offloaded / partial / unsupported per kernel");
 
   kernel::Node linux_node{hw::knl_snc4_flat(), kernel::NodeOsConfig::linux_default(), 1};
   kernel::Node mck_node{hw::knl_snc4_flat(), kernel::NodeOsConfig::mckernel_default(), 2};
@@ -32,7 +32,7 @@ int main() {
       core::bench_ledger("syscall_matrix", "IPDPS'18 Section II-D", 1);
 
   // Summary counts per kernel.
-  core::Table summary{{"kernel", "local", "offloaded", "partial", "unsupported"}};
+  sim::Table summary{{"kernel", "local", "offloaded", "partial", "unsupported"}};
   for (kernel::Kernel* k : kernels) {
     int counts[4] = {0, 0, 0, 0};
     for (std::size_t i = 0; i < kernel::kSysCount; ++i) {
@@ -50,7 +50,7 @@ int main() {
   std::printf("%s\n", summary.to_string().c_str());
 
   // The calls where the kernels disagree — the design-space fingerprint.
-  core::Table table{{"syscall", "Linux", "McKernel", "mOS", "FusedOS"}};
+  sim::Table table{{"syscall", "Linux", "McKernel", "mOS", "FusedOS"}};
   for (std::size_t i = 0; i < kernel::kSysCount; ++i) {
     const auto s = static_cast<Sys>(i);
     const Disposition d0 = kernels[1]->disposition(s);

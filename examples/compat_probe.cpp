@@ -4,18 +4,18 @@
 #include <cstdio>
 
 #include "compat/ltp.hpp"
-#include "core/report.hpp"
 #include "hw/knl.hpp"
 #include "kernel/node.hpp"
+#include "sim/format.hpp"
 
 int main() {
   using namespace mkos;
 
-  core::print_banner("mkos compatibility probe — LTP-style suite",
-                     "paper Section III-D: Linux compatibility");
+  sim::print_banner("mkos compatibility probe — LTP-style suite",
+                    "paper Section III-D: Linux compatibility");
 
   const compat::LtpSuite suite = compat::LtpSuite::standard();
-  core::Table table{{"kernel", "total", "passed", "failed", "pass rate"}};
+  sim::Table table{{"kernel", "total", "passed", "failed", "pass rate"}};
 
   kernel::Node linux_node{hw::knl_snc4_flat(), kernel::NodeOsConfig::linux_default(), 1};
   kernel::Node mck_node{hw::knl_snc4_flat(), kernel::NodeOsConfig::mckernel_default(), 2};
@@ -28,7 +28,7 @@ int main() {
     if (k.kind() == kernel::OsKind::kMos) mos_report = r;
     table.add_row({std::string(k.name()), std::to_string(r.total),
                    std::to_string(r.passed), std::to_string(r.failed),
-                   core::fmt_pct(r.pass_rate())});
+                   sim::fmt_pct(r.pass_rate())});
   }
   std::printf("%s\n", table.to_string().c_str());
 

@@ -5,8 +5,8 @@
 #include <cstdio>
 
 #include "core/config.hpp"
-#include "core/report.hpp"
 #include "runtime/simmpi.hpp"
+#include "sim/format.hpp"
 #include "sim/histogram.hpp"
 #include "workloads/app.hpp"
 
@@ -28,8 +28,8 @@ const char* kind_name(mkos::runtime::MpiWorld::SyncKind k) {
 int main() {
   using namespace mkos;
 
-  core::print_banner("mkos phase trace — MiniFE at 1,024 nodes",
-                     "per-synchronization breakdown of the Fig. 5b collapse");
+  sim::print_banner("mkos phase trace — MiniFE at 1,024 nodes",
+                    "per-synchronization breakdown of the Fig. 5b collapse");
 
   for (const auto os : {kernel::OsKind::kMcKernel, kernel::OsKind::kLinux}) {
     auto app = workloads::make_minife();

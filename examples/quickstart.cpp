@@ -9,19 +9,19 @@
 #include <cstdio>
 
 #include "core/experiment.hpp"
-#include "core/report.hpp"
+#include "sim/format.hpp"
 
 int main() {
   using namespace mkos;
 
-  core::print_banner("mkos quickstart — MiniFE on 16 KNL nodes",
-                     "multi-kernel OS simulation framework");
+  sim::print_banner("mkos quickstart — MiniFE on 16 KNL nodes",
+                    "multi-kernel OS simulation framework");
 
   auto app = workloads::make_minife();
   constexpr int kNodes = 16;
   constexpr int kReps = 5;
 
-  core::Table table{{"OS", "median " + std::string(app->metric()), "min", "max"}};
+  sim::Table table{{"OS", "median " + std::string(app->metric()), "min", "max"}};
   double linux_median = 0.0;
 
   for (const auto os :
@@ -29,8 +29,8 @@ int main() {
     const core::SystemConfig config = core::SystemConfig::for_os(os);
     const core::RunStats stats = core::run_app(*app, config, kNodes, kReps, /*seed=*/1);
     if (os == kernel::OsKind::kLinux) linux_median = stats.median();
-    table.add_row({config.label(), core::fmt_sci(stats.median()),
-                   core::fmt_sci(stats.min()), core::fmt_sci(stats.max())});
+    table.add_row({config.label(), sim::fmt_sci(stats.median()),
+                   sim::fmt_sci(stats.min()), sim::fmt_sci(stats.max())});
   }
   std::printf("%s\n", table.to_string().c_str());
 
@@ -39,7 +39,7 @@ int main() {
     const core::RunStats stats =
         core::run_app(*app, core::SystemConfig::for_os(os), kNodes, kReps, 1);
     std::printf("%-9s vs Linux: %s\n", std::string(kernel::to_string(os)).c_str(),
-                core::fmt_pct(stats.median() / linux_median).c_str());
+                sim::fmt_pct(stats.median() / linux_median).c_str());
   }
   return 0;
 }

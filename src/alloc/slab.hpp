@@ -100,13 +100,15 @@ class SlabCache {
   VmemArena* arena_;
   sim::Bytes obj_bytes_;
   sim::Bytes slab_span_;
+  sim::Bytes slab_stride_ = 0;  ///< the arena's aligned slab size
   std::uint64_t rounds_per_slab_;
   SlabCosts costs_;
   MagazinePolicy policy_;
 
   std::vector<CpuCache> cpus_;
   std::uint64_t depot_rounds_ = 0;
-  std::vector<sim::Bytes> slab_offsets_;  ///< arena offsets of live slabs
+  /// Live slabs in carve order, as runs at `slab_stride_`.
+  std::vector<VmemRun> slab_runs_;
   Stats stats_;
 };
 

@@ -21,68 +21,104 @@ VmemArena::VmemArena(std::string name, sim::Bytes quantum,
 }
 
 VmemAlloc VmemArena::alloc(sim::Bytes bytes) {
-  MKOS_EXPECTS(bytes > 0);
-  const sim::Bytes size = sim::align_up(bytes, quantum_);
+  std::vector<VmemRun> runs;
   VmemAlloc out;
-
-  // Quantum-cache front end: constant-time pop, no segment-list traffic.
-  const sim::Bytes quanta = size / quantum_;
-  const bool cacheable = quanta >= 1 && quanta <= kQuantumCacheClasses;
-  if (cacheable) {
-    auto& cache = quantum_caches_[quanta - 1];
-    if (!cache.empty()) {
-      out.ok = true;
-      out.offset = cache.back();
-      cache.pop_back();
-      out.cost = segment_op_cost_;  // cache hit: one cheap op, no list walk
-      ++stats_.allocs;
-      ++stats_.qcache_hits;
-      return out;
-    }
-  }
-
-  // Segment path: first-fit over the sorted free list, importing on demand.
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    for (std::size_t i = 0; i < free_segments_.size(); ++i) {
-      Segment& seg = free_segments_[i];
-      if (seg.length < size) continue;
-      out.ok = true;
-      out.offset = seg.offset;
-      out.cost = out.cost + segment_op_cost_;
-      if (seg.length == size) {
-        free_segments_.erase(free_segments_.begin() +
-                             static_cast<std::ptrdiff_t>(i));
-      } else {
-        seg.offset += size;
-        seg.length -= size;
-      }
-      ++stats_.allocs;
-      return out;
-    }
-    if (attempt == 0) {
-      out.cost = out.cost + import_cost_;
-      if (!import_more(size)) {
-        ++stats_.import_fails;
-        return out;  // ok == false: arena and source both exhausted
-      }
-    }
-  }
+  out.ok = alloc_n(bytes, 1, out.cost, runs) == 1;
+  if (out.ok) out.offset = runs.front().offset;
   return out;
 }
 
-sim::TimeNs VmemArena::free(sim::Bytes offset, sim::Bytes bytes) {
+std::uint64_t VmemArena::alloc_n(sim::Bytes bytes, std::uint64_t count,
+                                 sim::TimeNs& cost,
+                                 std::vector<VmemRun>& runs) {
   MKOS_EXPECTS(bytes > 0);
   const sim::Bytes size = sim::align_up(bytes, quantum_);
-  MKOS_EXPECTS(offset + size <= span_end_);
-  ++stats_.frees;
+  std::uint64_t granted = 0;
+  const auto take = [&](sim::Bytes offset, std::uint64_t n) {
+    if (!runs.empty() &&
+        runs.back().offset + runs.back().count * size == offset) {
+      runs.back().count += n;
+    } else {
+      runs.push_back(VmemRun{offset, n});
+    }
+    granted += n;
+  };
+
+  // Quantum-cache front end: constant-time pops, no segment-list traffic.
+  const sim::Bytes quanta = size / quantum_;
+  if (quanta <= kQuantumCacheClasses) {
+    auto& cache = quantum_caches_[quanta - 1];
+    const std::uint64_t hits = std::min<std::uint64_t>(count, cache.size());
+    for (std::uint64_t i = 0; i < hits; ++i) {
+      take(cache.back(), 1);
+      cache.pop_back();
+    }
+    stats_.qcache_hits += hits;
+  }
+
+  // Segment path: repeated first fit drains each segment in list order down
+  // to a remainder below `size`, so one walk serves the whole batch. Drained
+  // segments are compacted out in the same pass.
+  std::size_t kept = 0;
+  std::size_t walked = 0;
+  for (; walked < free_segments_.size() && granted < count; ++walked) {
+    Segment seg = free_segments_[walked];
+    const std::uint64_t n = std::min(count - granted, seg.length / size);
+    if (n > 0) {
+      take(seg.offset, n);
+      seg.offset += n * size;
+      seg.length -= n * size;
+    }
+    if (seg.length > 0) free_segments_[kept++] = seg;
+  }
+  free_segments_.erase(
+      free_segments_.begin() + static_cast<std::ptrdiff_t>(kept),
+      free_segments_.begin() + static_cast<std::ptrdiff_t>(walked));
+
+  // No segment fits any more: import. A successful import ends the span, so
+  // only the last segment can fit.
+  while (granted < count) {
+    cost += import_cost_;
+    if (!import_more(size)) {
+      ++stats_.import_fails;
+      break;  // arena and source both exhausted
+    }
+    Segment& last = free_segments_.back();
+    const std::uint64_t n = std::min(count - granted, last.length / size);
+    MKOS_ASSERT(n > 0);
+    take(last.offset, n);
+    last.offset += n * size;
+    last.length -= n * size;
+    if (last.length == 0) free_segments_.pop_back();
+  }
+
+  stats_.allocs += granted;
+  cost += segment_op_cost_ * static_cast<std::int64_t>(granted);
+  return granted;
+}
+
+sim::TimeNs VmemArena::free(sim::Bytes offset, sim::Bytes bytes) {
+  return free_n(offset, bytes, 1);
+}
+
+sim::TimeNs VmemArena::free_n(sim::Bytes offset, sim::Bytes bytes,
+                              std::uint64_t count) {
+  MKOS_EXPECTS(bytes > 0);
+  MKOS_EXPECTS(count > 0);
+  const sim::Bytes size = sim::align_up(bytes, quantum_);
+  MKOS_EXPECTS(offset + count * size <= span_end_);
+  stats_.frees += count;
 
   const sim::Bytes quanta = size / quantum_;
-  if (quanta >= 1 && quanta <= kQuantumCacheClasses) {
-    quantum_caches_[quanta - 1].push_back(offset);
-    return segment_op_cost_;
+  if (quanta <= kQuantumCacheClasses) {
+    auto& cache = quantum_caches_[quanta - 1];
+    for (std::uint64_t i = count; i-- > 0;) cache.push_back(offset + i * size);
+  } else {
+    // The list stays sorted and fully coalesced, so one insert of the whole
+    // run leaves the same list as `count` single inserts.
+    insert_free(offset, count * size);
   }
-  insert_free(offset, size);
-  return segment_op_cost_;
+  return segment_op_cost_ * static_cast<std::int64_t>(count);
 }
 
 bool VmemArena::import_more(sim::Bytes want) {

@@ -27,6 +27,13 @@ struct VmemAlloc {
   sim::TimeNs cost{0};    ///< modeled CPU time spent in the allocator
 };
 
+/// `count` equal-size ranges laid end to end from `offset`, in carve order.
+/// The stride is the arena's aligned size, `align_up(bytes, quantum)`.
+struct VmemRun {
+  sim::Bytes offset = 0;
+  std::uint64_t count = 0;
+};
+
 /// Counters kept by the arena; snapshotted into the `alloc.*` ledger group.
 struct VmemStats {
   std::uint64_t allocs = 0;
@@ -55,15 +62,30 @@ class VmemArena {
   VmemArena(const VmemArena&) = delete;
   VmemArena& operator=(const VmemArena&) = delete;
 
-  /// Allocate `bytes` (rounded up to the quantum). Small requests (up to
-  /// `kQuantumCacheClasses` quanta) are served from per-size-class offset
-  /// stacks when possible; otherwise first-fit over the segment list, with
-  /// an import from the source on exhaustion.
+  /// Allocate `bytes` (rounded up to the quantum): the count-1 case of
+  /// alloc_n.
   [[nodiscard]] VmemAlloc alloc(sim::Bytes bytes);
+
+  /// Carve `count` ranges of `bytes` each, exactly as `count` successive
+  /// alloc(bytes) calls that stop after the first failure. Small requests
+  /// (up to `kQuantumCacheClasses` quanta) pop the quantum cache first; the
+  /// rest are first-fit over the segment list, which one walk serves by
+  /// taking `length / size` ranges from each segment in order, importing
+  /// from the source only once no segment fits. Granted offsets are appended
+  /// to `runs` in carve order (extending its last run when contiguous, so
+  /// every run in `runs` must be of this size); the modeled cost is added to
+  /// `cost`. Returns the number of ranges granted.
+  std::uint64_t alloc_n(sim::Bytes bytes, std::uint64_t count,
+                        sim::TimeNs& cost, std::vector<VmemRun>& runs);
 
   /// Return a previously allocated range; coalesces with neighbors.
   /// Returns the modeled CPU cost of the free.
   sim::TimeNs free(sim::Bytes offset, sim::Bytes bytes);
+
+  /// Return the contiguous run of `count` ranges of `bytes` starting at
+  /// `offset`, exactly as freeing them one by one from the highest offset
+  /// down. Returns the modeled CPU cost.
+  sim::TimeNs free_n(sim::Bytes offset, sim::Bytes bytes, std::uint64_t count);
 
   [[nodiscard]] const VmemStats& stats() const { return stats_; }
   [[nodiscard]] const std::string& name() const { return name_; }

@@ -2,8 +2,8 @@
 
 #include <chrono>
 
-#include "core/report.hpp"
 #include "sim/contracts.hpp"
+#include "sim/format.hpp"
 
 namespace mkos::core {
 
@@ -227,19 +227,19 @@ std::vector<CellResult> Campaign::run(const CampaignSpec& spec) {
 }
 
 std::string describe(const CampaignTelemetry& t, int threads) {
-  Table table{{"campaign telemetry", "value"}};
+  sim::Table table{{"campaign telemetry", "value"}};
   table.add_row({"threads", std::to_string(threads)});
   table.add_row({"cells", std::to_string(t.cells)});
   table.add_row({"cache hits", std::to_string(t.cache_hits)});
   if (t.store_hits > 0) table.add_row({"store hits", std::to_string(t.store_hits)});
   if (t.skipped > 0) table.add_row({"skipped (stored)", std::to_string(t.skipped)});
-  table.add_row({"cache hit rate", fmt_pct(t.hit_rate())});
-  table.add_row({"wall seconds", fmt(t.wall_seconds, 3)});
-  table.add_row({"cells/s", fmt(t.cells_per_second(), 1)});
+  table.add_row({"cache hit rate", sim::fmt_pct(t.hit_rate())});
+  table.add_row({"wall seconds", sim::fmt(t.wall_seconds, 3)});
+  table.add_row({"cells/s", sim::fmt(t.cells_per_second(), 1)});
   if (t.sched_active) {
     table.add_row({"sched steals", std::to_string(t.sched_steals)});
     table.add_row({"sched local pops", std::to_string(t.sched_local_pops)});
-    table.add_row({"sched imbalance", fmt(t.sched_imbalance, 3)});
+    table.add_row({"sched imbalance", sim::fmt(t.sched_imbalance, 3)});
   }
   std::string out = table.to_string();
   if (t.cell_wall_ms.total() > 0) {

@@ -5,8 +5,8 @@
 #include <filesystem>
 #include <system_error>
 
-#include "core/report.hpp"
 #include "sim/contracts.hpp"
+#include "sim/format.hpp"
 
 namespace mkos::core {
 
@@ -84,12 +84,12 @@ void record_campaign(obs::RunLedger& ledger, const CampaignTelemetry& telemetry,
     // gauges section is part of the deterministic byte-compare surface and
     // --strip-counters only filters counters.
     ledger.set_host("campaign.sched.imbalance",
-                    json_number(telemetry.sched_imbalance));
+                    sim::json_number(telemetry.sched_imbalance));
   }
   // Wall time and throughput vary run to run: host block only.
   ledger.set_host("threads", std::to_string(threads));
-  ledger.set_host("wall_seconds", json_number(telemetry.wall_seconds));
-  ledger.set_host("cells_per_second", json_number(telemetry.cells_per_second()));
+  ledger.set_host("wall_seconds", sim::json_number(telemetry.wall_seconds));
+  ledger.set_host("cells_per_second", sim::json_number(telemetry.cells_per_second()));
   ledger.set_host("cell_wall_ms", obs::histogram_json(telemetry.cell_wall_ms));
 }
 

@@ -6,7 +6,7 @@
 // histograms, grouped by a `<subsystem>.<metric>` naming convention
 // (heap.brk_calls, kernel.ikc_round_trips, runtime.coll_stall_ns, ...).
 // A ledger snapshots into a versioned JSON document (schema
-// "mkos.run_ledger.v1") or a flat CSV via the hardened core/report layer.
+// "mkos.run_ledger.v1") or a flat CSV via the hardened sim/format layer.
 //
 // Determinism contract (DESIGN.md §5.1 / §10): everything outside the
 // `host` section is a pure function of (app, config fingerprint, nodes,

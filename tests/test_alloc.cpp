@@ -1,14 +1,18 @@
-// Unit tests for mkos::alloc — the VMem interval arena, the per-CPU
-// magazine SlabCache (refill cascade, resize hysteresis, drain), the
-// DomainAllocator traffic hook that attributes kernel-heap refills per
-// lane, the per-kernel personality separation, and the two contracts the
-// subsystem ships under: inert-by-default (an AllocSpec{} config keeps its
-// pre-subsystem fingerprint/digest) and serial-vs-pooled ledger identity
-// with the model enabled.
+// Unit tests for mkos::alloc — the VMem interval arena (and the batched
+// carve/free it serves slab runs with, checked against one call per range),
+// the per-CPU magazine SlabCache (refill cascade, resize hysteresis, drain,
+// slab runs at the arena stride), the DomainAllocator traffic hook that
+// attributes kernel-heap refills per lane, the per-kernel personality
+// separation, and the two contracts the subsystem ships under:
+// inert-by-default (an AllocSpec{} config keeps its pre-subsystem
+// fingerprint/digest) and serial-vs-pooled ledger identity with the model
+// enabled.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "alloc/model.hpp"
@@ -27,6 +31,12 @@ namespace {
 using namespace mkos;
 
 // ----------------------------------------------------------------- VmemArena
+
+alloc::AllocSpec enabled_spec() {
+  alloc::AllocSpec spec;
+  spec.model_allocator = true;
+  return spec;
+}
 
 alloc::VmemArena make_arena(sim::Bytes backing,
                             sim::Bytes quantum = 4 * sim::KiB,
@@ -47,13 +57,14 @@ TEST(VmemArena, AllocImportsAndQuantumCacheServesTheFree) {
   const alloc::VmemAlloc a = arena.alloc(4 * sim::KiB);
   ASSERT_TRUE(a.ok);
   EXPECT_EQ(arena.stats().imports, 1u);      // empty arena imported first
-  EXPECT_GT(a.cost.ns(), 0);
+  EXPECT_EQ(a.cost.ns(), 400 + 50);          // one import plus one segment op
   EXPECT_EQ(arena.span_bytes(), 64 * sim::KiB);
 
   (void)arena.free(a.offset, 4 * sim::KiB);  // lands in the quantum cache
   const alloc::VmemAlloc b = arena.alloc(4 * sim::KiB);
   ASSERT_TRUE(b.ok);
   EXPECT_EQ(b.offset, a.offset);             // constant-time pop of the same slot
+  EXPECT_EQ(b.cost.ns(), 50);
   EXPECT_EQ(arena.stats().qcache_hits, 1u);
   EXPECT_EQ(arena.stats().allocs, 2u);
   EXPECT_EQ(arena.stats().frees, 1u);
@@ -84,9 +95,188 @@ TEST(VmemArena, ExhaustedSourceFailsTheAllocAndCountsIt) {
   alloc::VmemArena arena = make_arena(sim::Bytes{0});  // source grants nothing
   const alloc::VmemAlloc a = arena.alloc(4 * sim::KiB);
   EXPECT_FALSE(a.ok);
+  EXPECT_EQ(a.cost.ns(), 400);  // the failed import attempt is still paid
   EXPECT_EQ(arena.stats().import_fails, 1u);
   EXPECT_EQ(arena.span_bytes(), 0u);  // short grants must not grow the span
   EXPECT_EQ(arena.stats().allocs, 0u);
+}
+
+// ------------------------------------------- batched carve and free runs
+
+constexpr sim::Bytes kQ = 4 * sim::KiB;  // quantum of the equivalence arenas
+
+struct Carve {
+  std::vector<sim::Bytes> offsets;
+  sim::TimeNs cost{0};
+};
+
+// Leave holes of assorted lengths in the segment list and offsets in the
+// quantum caches, so a batch meets more than one fresh segment.
+void prime(alloc::VmemArena& arena, sim::Bytes size) {
+  const sim::Bytes sizes[] = {size, 3 * kQ, 6 * kQ, size, 11 * kQ};
+  std::vector<std::pair<sim::Bytes, sim::Bytes>> live;
+  for (int i = 0; i < 20; ++i) {
+    const sim::Bytes b = sizes[i % 5];
+    const alloc::VmemAlloc a = arena.alloc(b);
+    ASSERT_TRUE(a.ok);
+    live.emplace_back(a.offset, b);
+  }
+  for (std::size_t i = 0; i < live.size(); i += 2) {
+    (void)arena.free(live[i].first, live[i].second);
+  }
+}
+
+Carve carve_singles(alloc::VmemArena& arena, sim::Bytes size,
+                    std::uint64_t count) {
+  Carve out;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const alloc::VmemAlloc a = arena.alloc(size);
+    out.cost += a.cost;
+    if (!a.ok) break;
+    out.offsets.push_back(a.offset);
+  }
+  return out;
+}
+
+Carve carve_batch(alloc::VmemArena& arena, sim::Bytes size,
+                  std::uint64_t count, std::vector<alloc::VmemRun>& runs) {
+  Carve out;
+  const std::uint64_t granted = arena.alloc_n(size, count, out.cost, runs);
+  const sim::Bytes stride = sim::align_up(size, arena.quantum());
+  for (const alloc::VmemRun& run : runs) {
+    for (std::uint64_t i = 0; i < run.count; ++i) {
+      out.offsets.push_back(run.offset + i * stride);
+    }
+  }
+  EXPECT_EQ(out.offsets.size(), granted);
+  return out;
+}
+
+void expect_same_arena(const alloc::VmemArena& a, const alloc::VmemArena& b) {
+  EXPECT_EQ(a.stats().allocs, b.stats().allocs);
+  EXPECT_EQ(a.stats().frees, b.stats().frees);
+  EXPECT_EQ(a.stats().qcache_hits, b.stats().qcache_hits);
+  EXPECT_EQ(a.stats().imports, b.stats().imports);
+  EXPECT_EQ(a.stats().import_fails, b.stats().import_fails);
+  EXPECT_EQ(a.stats().import_bytes, b.stats().import_bytes);
+  EXPECT_EQ(a.free_segment_count(), b.free_segment_count());
+  EXPECT_EQ(a.span_bytes(), b.span_bytes());
+}
+
+// Free the newest `trim` slabs, one range at a time from the back.
+sim::TimeNs trim_singles(alloc::VmemArena& arena, sim::Bytes size,
+                         std::vector<sim::Bytes>& offsets, std::uint64_t trim) {
+  sim::TimeNs cost{0};
+  for (; trim > 0; --trim) {
+    cost += arena.free(offsets.back(), size);
+    offsets.pop_back();
+  }
+  return cost;
+}
+
+// The same trim as SlabCache::reclaim makes it: one free_n per run touched.
+sim::TimeNs trim_runs(alloc::VmemArena& arena, sim::Bytes size,
+                      std::vector<alloc::VmemRun>& runs, std::uint64_t trim) {
+  const sim::Bytes stride = sim::align_up(size, arena.quantum());
+  sim::TimeNs cost{0};
+  while (trim > 0) {
+    alloc::VmemRun& run = runs.back();
+    const std::uint64_t n = std::min(trim, run.count);
+    run.count -= n;
+    cost += arena.free_n(run.offset + run.count * stride, size, n);
+    if (run.count == 0) runs.pop_back();
+    trim -= n;
+  }
+  return cost;
+}
+
+// Several single carves after the batch expose any difference left in the
+// quantum caches or the segment list.
+void expect_same_future(alloc::VmemArena& a, alloc::VmemArena& b,
+                        sim::Bytes size) {
+  for (const sim::Bytes probe : {size, kQ, 2 * kQ, 7 * kQ}) {
+    const Carve pa = carve_singles(a, probe, 6);
+    const Carve pb = carve_singles(b, probe, 6);
+    EXPECT_EQ(pa.offsets, pb.offsets);
+    EXPECT_EQ(pa.cost.ns(), pb.cost.ns());
+  }
+  expect_same_arena(a, b);
+}
+
+// Carve `count` ranges of `quanta` quanta into two identically primed
+// arenas, one call per range against one batch, then trim part of the last
+// run and later all but one range, comparing after every step.
+void check_batch_matches_singles(std::uint64_t quanta, std::uint64_t count,
+                                 sim::Bytes backing, bool expect_dry) {
+  SCOPED_TRACE(::testing::Message() << quanta << " quanta x " << count);
+  const sim::Bytes size = quanta * kQ;
+  alloc::VmemArena single = make_arena(backing);
+  alloc::VmemArena batch = make_arena(backing);
+  prime(single, size);
+  prime(batch, size);
+  ASSERT_NO_FATAL_FAILURE(expect_same_arena(single, batch));
+  const std::uint64_t imports_before = batch.stats().imports;
+  const std::uint64_t fails_before = batch.stats().import_fails;
+
+  Carve s = carve_singles(single, size, count);
+  std::vector<alloc::VmemRun> runs;
+  const Carve b = carve_batch(batch, size, count, runs);
+  EXPECT_EQ(s.offsets, b.offsets);
+  EXPECT_EQ(s.cost.ns(), b.cost.ns());
+  expect_same_arena(single, batch);
+  if (expect_dry) {
+    EXPECT_LT(b.offsets.size(), count);
+    EXPECT_EQ(batch.stats().import_fails, fails_before + 1);
+  } else {
+    EXPECT_EQ(b.offsets.size(), count);
+    EXPECT_EQ(batch.stats().import_fails, fails_before);
+  }
+  if (count > 100) {
+    EXPECT_GT(batch.stats().imports, imports_before);
+  }
+
+  if (!runs.empty()) {
+    const std::uint64_t part = (runs.back().count + 1) / 2;
+    EXPECT_EQ(trim_singles(single, size, s.offsets, part).ns(),
+              trim_runs(batch, size, runs, part).ns());
+    expect_same_arena(single, batch);
+    const std::uint64_t rest = s.offsets.empty() ? 0 : s.offsets.size() - 1;
+    EXPECT_EQ(trim_singles(single, size, s.offsets, rest).ns(),
+              trim_runs(batch, size, runs, rest).ns());
+    expect_same_arena(single, batch);
+  }
+  expect_same_future(single, batch, size);
+}
+
+class VmemBatch : public ::testing::TestWithParam<int> {};
+
+TEST_P(VmemBatch, BatchWithinTheSpanMatchesSingleCarves) {
+  check_batch_matches_singles(static_cast<std::uint64_t>(GetParam()), 5,
+                              64 * sim::MiB, false);
+}
+
+TEST_P(VmemBatch, BatchAcrossImportsMatchesSingleCarves) {
+  check_batch_matches_singles(static_cast<std::uint64_t>(GetParam()), 200,
+                              64 * sim::MiB, false);
+}
+
+TEST_P(VmemBatch, SourceRunningDryMidBatchFailsOnceAndStops) {
+  check_batch_matches_singles(static_cast<std::uint64_t>(GetParam()), 1000,
+                              1 * sim::MiB, true);
+}
+
+// 1–4 quanta take the quantum-cache classes; 5 and 9 the segment path.
+INSTANTIATE_TEST_SUITE_P(Quanta, VmemBatch,
+                         ::testing::Values(1, 2, 3, 4, 5, 9));
+
+TEST(VmemArena, ZeroCountBatchIsANoOp) {
+  alloc::VmemArena arena = make_arena(sim::Bytes{1} * sim::MiB);
+  std::vector<alloc::VmemRun> runs;
+  sim::TimeNs cost{0};
+  EXPECT_EQ(arena.alloc_n(8 * sim::KiB, 0, cost, runs), 0u);
+  EXPECT_TRUE(runs.empty());
+  EXPECT_EQ(cost.ns(), 0);
+  EXPECT_EQ(arena.stats().imports, 0u);
 }
 
 // ----------------------------------------------------------------- SlabCache
@@ -178,6 +368,37 @@ TEST(SlabCache, LockCostsScaleWithActiveCpus) {
   EXPECT_GT(packed.ns(), solo.ns());
 }
 
+TEST(SlabCache, OddSlabSpanRunsUseTheArenaStride) {
+  // NodeAllocModel::cache_for gives a 70 KiB object a 70 KiB slab span on
+  // Linux, which the 4 KiB-quantum arena rounds to 72 KiB. Partial trims
+  // index into runs at that stride; any other stride frees the wrong ranges.
+  const alloc::PersonalityParams p =
+      alloc::params_for(kernel::OsKind::kLinux, enabled_spec());
+  const sim::Bytes obj = 70 * sim::KiB;
+  alloc::VmemArena arena = make_arena(sim::Bytes{64} * sim::MiB,
+                                      p.vmem_quantum, p.import_quantum);
+  alloc::SlabCache cache(&arena, obj, std::max(p.slab_span, obj),
+                         alloc::SlabCosts{}, p.magazines, 2);
+  for (int burst = 0; burst < 6; ++burst) {
+    (void)cache.churn(burst % 2, 40 + 7 * static_cast<std::uint64_t>(burst),
+                      2, 1.0, 1.0);
+  }
+  cache.drain(0);
+  cache.drain(1);
+  const std::uint64_t slabs = cache.stats().slab_creates;
+  ASSERT_GT(slabs, 3u);
+  ASSERT_EQ(cache.depot_rounds(), slabs);  // one 70 KiB round per slab
+
+  while (cache.depot_rounds() > 0) (void)cache.reclaim(3);
+  EXPECT_EQ(cache.stats().slab_frees, slabs);
+  EXPECT_EQ(arena.stats().frees, slabs);
+  EXPECT_EQ(arena.free_segment_count(), 1u);
+  // The one segment is the whole span: carving it needs no import.
+  const std::uint64_t imports = arena.stats().imports;
+  EXPECT_TRUE(arena.alloc(arena.span_bytes()).ok);
+  EXPECT_EQ(arena.stats().imports, imports);
+}
+
 // ------------------------------------------------- DomainAllocator traffic
 
 TEST(TrafficHook, AttributesBestEffortAllocationsToTheTaggedCaller) {
@@ -205,12 +426,6 @@ TEST(TrafficHook, AttributesBestEffortAllocationsToTheTaggedCaller) {
 }
 
 // ------------------------------------------------------------ NodeAllocModel
-
-alloc::AllocSpec enabled_spec() {
-  alloc::AllocSpec spec;
-  spec.model_allocator = true;
-  return spec;
-}
 
 TEST(NodeAllocModel, LinuxChurnCostsMoreThanTheLwkAtScale) {
   const hw::NodeTopology topo = hw::knl_snc4_flat();

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
-#include "core/report.hpp"
+#include "sim/format.hpp"
 
 namespace {
 
@@ -87,7 +87,7 @@ TEST(Experiment, HeadlineAggregation) {
 }
 
 TEST(Report, TableAlignsColumns) {
-  Table t{{"app", "nodes", "fom"}};
+  sim::Table t{{"app", "nodes", "fom"}};
   t.add_row({"MiniFE", "1024", "1.2e7"});
   t.add_row({"HPCG", "16", "3.4"});
   const std::string s = t.to_string();
@@ -97,9 +97,9 @@ TEST(Report, TableAlignsColumns) {
 }
 
 TEST(Report, Formatters) {
-  EXPECT_EQ(fmt(3.14159, 2), "3.14");
-  EXPECT_EQ(fmt_pct(1.21, 1), "121.0%");
-  EXPECT_EQ(fmt_sci(12345678.0, 2), "1.23e+07");
+  EXPECT_EQ(sim::fmt(3.14159, 2), "3.14");
+  EXPECT_EQ(sim::fmt_pct(1.21, 1), "121.0%");
+  EXPECT_EQ(sim::fmt_sci(12345678.0, 2), "1.23e+07");
 }
 
 }  // namespace
