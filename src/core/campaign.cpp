@@ -108,7 +108,6 @@ Campaign::Campaign(sim::TaskPool& pool, CellCache& cache)
 std::vector<CellResult> Campaign::run(const CampaignSpec& spec) {
   MKOS_EXPECTS(spec.reps >= 1);
   const auto started = std::chrono::steady_clock::now();
-  const auto sched0 = pool_.sched_telemetry();
 
   // Enumerate the grid in deterministic order.
   struct Cell {
@@ -186,15 +185,8 @@ std::vector<CellResult> Campaign::run(const CampaignSpec& spec) {
     }
   }
 
-  // Fan-out. Costs feed cost-aware pools (LPT placement of the skewed
-  // tail); FIFO pools keep plain submission order.
-  std::vector<double> costs;
-  costs.reserve(to_simulate.size());
-  for (const Cell* cell : to_simulate) {
-    costs.push_back(static_cast<double>(cell->nodes) * static_cast<double>(spec.reps) *
-                    workloads::app_cost_weight(cell->app));
-  }
-  sim::parallel_for_weighted(pool_, costs, [&](std::size_t i) {
+  // Fan-out: one task per simulated cell, in grid order.
+  sim::parallel_for(pool_, to_simulate.size(), [&](std::size_t i) {
     const Cell& cell = *to_simulate[i];
     CellResult& out = results[cell.result_index];
     const auto cell_started = std::chrono::steady_clock::now();
@@ -215,14 +207,6 @@ std::vector<CellResult> Campaign::run(const CampaignSpec& spec) {
   for (const Cell* cell : to_simulate) {
     telemetry_.cell_wall_ms.add(results[cell->result_index].wall_ms);
   }
-  const auto sched1 = pool_.sched_telemetry();
-  if (sched1.active) {
-    telemetry_.sched_active = true;
-    telemetry_.sched_steals += sched1.steals - sched0.steals;
-    telemetry_.sched_steal_fails += sched1.steal_fails - sched0.steal_fails;
-    telemetry_.sched_local_pops += sched1.local_pops - sched0.local_pops;
-    telemetry_.sched_imbalance = sched1.imbalance;
-  }
   return results;
 }
 
@@ -236,11 +220,6 @@ std::string describe(const CampaignTelemetry& t, int threads) {
   table.add_row({"cache hit rate", sim::fmt_pct(t.hit_rate())});
   table.add_row({"wall seconds", sim::fmt(t.wall_seconds, 3)});
   table.add_row({"cells/s", sim::fmt(t.cells_per_second(), 1)});
-  if (t.sched_active) {
-    table.add_row({"sched steals", std::to_string(t.sched_steals)});
-    table.add_row({"sched local pops", std::to_string(t.sched_local_pops)});
-    table.add_row({"sched imbalance", sim::fmt(t.sched_imbalance, 3)});
-  }
   std::string out = table.to_string();
   if (t.cell_wall_ms.total() > 0) {
     out += "per-cell wall time (ms):\n";

@@ -2,15 +2,14 @@
 // Parallel campaign engine.
 //
 // A campaign is an (app × config × nodes) cell grid, each cell being `reps`
-// independent simulated runs. The runner fans cells out across a
-// sim::TaskPool — the FIFO ThreadPool by default, or a WorkStealingPool for
-// skewed cell mixes (the pool gets a cost estimate per cell,
-// nodes × reps × app weight, and places the heavy tail first) — and
-// memoizes finished cells in a CellCache keyed by the cell fingerprint, so
+// independent simulated runs. The runner submits one task per simulated
+// cell, in grid order, through sim::parallel_for to the pool it was given
+// (the FIFO sim::ThreadPool), and memoizes finished cells in a CellCache keyed by the cell fingerprint, so
 // benches that share cells (every figure bench reuses the Linux baseline)
 // hit the cache instead of resimulating. Determinism: seeds are positional
-// (see core/experiment.hpp), so cell results are independent of thread
-// count, scheduling, stealing, and cache state.
+// (see core/experiment.hpp) and each cell writes its own result slot, so
+// cell results are independent of thread count, execution order, and cache
+// state.
 //
 // The cache is two-tier: an in-memory map always, plus an optional
 // disk-backed CellStore (core/cell_store.hpp) attached at construction.
@@ -128,15 +127,6 @@ struct CampaignTelemetry {
   double wall_seconds = 0.0;     ///< host wall time inside run()
   sim::Histogram cell_wall_ms{1e-3, 1e5, 4};  ///< per simulated cell, host ms
 
-  // Scheduler telemetry (the campaign.sched.* ledger group; host-state
-  // dependent like campaign.store.*, emitted only when a cost-aware pool
-  // ran). Pool counters are per-run deltas of the pool's cumulative totals.
-  bool sched_active = false;        ///< a cost-aware (work-stealing) pool ran
-  std::uint64_t sched_steals = 0;       ///< tasks taken from a foreign deque
-  std::uint64_t sched_steal_fails = 0;  ///< deque scans that raced to nothing
-  std::uint64_t sched_local_pops = 0;   ///< tasks served from the owner deque
-  double sched_imbalance = 0.0;  ///< max/mean executed cost across workers
-
   [[nodiscard]] double cells_per_second() const {
     return wall_seconds > 0.0 ? static_cast<double>(cells) / wall_seconds : 0.0;
   }
@@ -151,15 +141,13 @@ struct CampaignTelemetry {
 class Campaign {
  public:
   /// The cache is borrowed: share one across Campaign instances (and specs)
-  /// to share cells across benches within a process. Any TaskPool works;
-  /// a cost-aware pool (sim::WorkStealingPool) additionally gets LPT
-  /// heaviest-first placement of the cell mix.
+  /// to share cells across benches within a process. The pool is borrowed
+  /// too; run() uses only its submit().
   Campaign(sim::TaskPool& pool, CellCache& cache);
 
   /// Execute the cell grid. Results come back in deterministic grid order
-  /// (app-major, then config, then nodes), independent of thread count,
-  /// pool kind, and stealing — bit-identical by the positional-seed
-  /// contract.
+  /// (app-major, then config, then nodes), independent of thread count —
+  /// bit-identical by the positional-seed contract.
   [[nodiscard]] std::vector<CellResult> run(const CampaignSpec& spec);
 
   [[nodiscard]] const CampaignTelemetry& telemetry() const { return telemetry_; }

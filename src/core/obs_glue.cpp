@@ -72,20 +72,6 @@ void record_campaign(obs::RunLedger& ledger, const CampaignTelemetry& telemetry,
     ledger.incr("campaign.store.bytes_written", c.bytes_written);
     ledger.incr("campaign.store.skipped", telemetry.skipped);
   }
-  // Scheduler group: steal traffic depends on thread timing — host state,
-  // stripped by comparators exactly like campaign.store.*. Gated on a
-  // work-stealing pool having run so FIFO-pool ledgers keep their exact
-  // legacy bytes.
-  if (telemetry.sched_active) {
-    ledger.incr("campaign.sched.steals", telemetry.sched_steals);
-    ledger.incr("campaign.sched.steal_fails", telemetry.sched_steal_fails);
-    ledger.incr("campaign.sched.local_pops", telemetry.sched_local_pops);
-    // The imbalance gauge lives in the host block, not gauges: the ledger's
-    // gauges section is part of the deterministic byte-compare surface and
-    // --strip-counters only filters counters.
-    ledger.set_host("campaign.sched.imbalance",
-                    sim::json_number(telemetry.sched_imbalance));
-  }
   // Wall time and throughput vary run to run: host block only.
   ledger.set_host("threads", std::to_string(threads));
   ledger.set_host("wall_seconds", sim::json_number(telemetry.wall_seconds));

@@ -1,8 +1,6 @@
 #include "sim/thread_pool.hpp"
 
-#include <algorithm>
 #include <exception>
-#include <numeric>
 
 #include "sim/contracts.hpp"
 #include "sim/env.hpp"
@@ -10,7 +8,7 @@
 namespace mkos::sim {
 
 void TaskPool::submit_weighted(double cost, Task task) {
-  (void)cost;  // placement hint; FIFO pools have nowhere to aim it
+  (void)cost;
   submit(std::move(task));
 }
 
@@ -86,8 +84,8 @@ void ThreadPool::worker_loop() {
 
 namespace {
 
-/// Join block shared by the parallel_for variants: counts completions and
-/// keeps the first exception for rethrow in the caller.
+/// parallel_for's join block: counts completions and keeps the first
+/// exception for rethrow in the caller.
 struct Join {
   Mutex mu;
   std::condition_variable cv;
@@ -95,11 +93,14 @@ struct Join {
   std::exception_ptr error MKOS_GUARDED_BY(mu);
 };
 
-void submit_indices(TaskPool& pool, const std::vector<std::size_t>& order,
-                    const std::vector<double>* costs, Join& join,
-                    const std::function<void(std::size_t)>& body) {
-  for (const std::size_t i : order) {
-    auto task = [&join, &body, i] {
+}  // namespace
+
+void parallel_for(TaskPool& pool, std::size_t n,
+                  const std::function<void(std::size_t)>& body) {
+  if (n == 0) return;
+  Join join{.mu = {}, .cv = {}, .remaining = n, .error = nullptr};
+  for (std::size_t i = 0; i < n; ++i) {
+    pool.submit([&join, &body, i] {
       std::exception_ptr ep;
       try {
         body(i);
@@ -109,12 +110,7 @@ void submit_indices(TaskPool& pool, const std::vector<std::size_t>& order,
       const MutexLock lock(join.mu);
       if (ep != nullptr && join.error == nullptr) join.error = ep;
       if (--join.remaining == 0) join.cv.notify_all();
-    };
-    if (costs != nullptr) {
-      pool.submit_weighted((*costs)[i], std::move(task));
-    } else {
-      pool.submit(std::move(task));
-    }
+    });
   }
   std::exception_ptr error;
   {
@@ -123,35 +119,6 @@ void submit_indices(TaskPool& pool, const std::vector<std::size_t>& order,
     error = join.error;
   }
   if (error != nullptr) std::rethrow_exception(error);
-}
-
-}  // namespace
-
-void parallel_for(TaskPool& pool, std::size_t n,
-                  const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  Join join{.mu = {}, .cv = {}, .remaining = n, .error = nullptr};
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  submit_indices(pool, order, nullptr, join, body);
-}
-
-void parallel_for_weighted(TaskPool& pool, const std::vector<double>& costs,
-                           const std::function<void(std::size_t)>& body) {
-  const std::size_t n = costs.size();
-  if (n == 0) return;
-  Join join{.mu = {}, .cv = {}, .remaining = n, .error = nullptr};
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  if (pool.cost_aware()) {
-    // LPT: heaviest first so the longest chains start as early as possible;
-    // stable on ties so equal-cost work keeps its deterministic index order.
-    std::stable_sort(order.begin(), order.end(),
-                     [&costs](std::size_t a, std::size_t b) {
-                       return costs[a] > costs[b];
-                     });
-  }
-  submit_indices(pool, order, &costs, join, body);
 }
 
 }  // namespace mkos::sim

@@ -1,14 +1,13 @@
 #pragma once
-// Task pools for the campaign engine.
+// The campaign engine's task pool.
 //
-// TaskPool is the scheduling seam: the campaign fans cells out through this
-// interface and never learns how the pool places or orders work. Two
-// implementations exist — this file's ThreadPool (one shared FIFO queue, the
-// deliberately simple default) and sim/work_stealing_pool.hpp (per-worker
-// deques with cost-guided placement for skewed cell mixes). Determinism is
-// never the pool's job — tasks derive every random stream from positional
+// ThreadPool is the one pool: a shared FIFO queue drained by N workers.
+// Campaign cells are short (milliseconds), so a single queue keeps every
+// worker busy. TaskPool is the interface the campaign fans out through, so
+// a caller can wrap the pool (e.g. to stamp the first dispatch). Determinism
+// is never the pool's job: tasks derive every random stream from positional
 // seeds and write results into caller-indexed slots, so execution order
-// cannot leak into results; either pool yields bit-identical output.
+// cannot leak into results at any thread count.
 
 #include <condition_variable>
 #include <cstddef>
@@ -26,14 +25,15 @@ class TaskPool {
  public:
   using Task = std::function<void()>;
 
-  /// Scheduler telemetry snapshot (see WorkStealingPool). `active` is false
-  /// for cost-oblivious pools, whose other fields stay zero.
+  // SchedTelemetry, submit_weighted, cost_aware and sched_telemetry have
+  // FIFO defaults and no caller in the simulator; they stay only because
+  // perfbench's DispatchProbe overrides them.
   struct SchedTelemetry {
     bool active = false;
-    std::uint64_t steals = 0;       ///< tasks taken from a foreign deque
-    std::uint64_t steal_fails = 0;  ///< full scans that raced to nothing
-    std::uint64_t local_pops = 0;   ///< tasks served from the owner's deque
-    double imbalance = 0.0;         ///< max/mean executed cost across workers
+    std::uint64_t steals = 0;
+    std::uint64_t steal_fails = 0;
+    std::uint64_t local_pops = 0;
+    double imbalance = 0.0;
   };
 
   virtual ~TaskPool() = default;
@@ -42,8 +42,6 @@ class TaskPool {
   /// pool's blocking APIs (wait_idle / parallel_for) — cells are leaves.
   virtual void submit(Task task) = 0;
 
-  /// Enqueue with a relative execution-cost estimate. Cost-aware pools use
-  /// it for placement; the base forwards to submit(), dropping the hint.
   virtual void submit_weighted(double cost, Task task);
 
   /// Block until the queue is empty AND no task is executing.
@@ -51,11 +49,7 @@ class TaskPool {
 
   [[nodiscard]] virtual int size() const = 0;
 
-  /// True when submit_weighted's cost actually steers placement — callers
-  /// may then order submissions heaviest-first (LPT) for better makespans.
   [[nodiscard]] virtual bool cost_aware() const { return false; }
-
-  /// Cumulative scheduler counters; meaningful after wait_idle().
   [[nodiscard]] virtual SchedTelemetry sched_telemetry() const { return {}; }
 };
 
@@ -102,14 +96,5 @@ class ThreadPool final : public TaskPool {
 /// pool task.
 void parallel_for(TaskPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& body);
-
-/// parallel_for with a per-index cost estimate (`costs.size() == n`). On a
-/// cost-aware pool, indices are submitted heaviest-first (LPT order, ties in
-/// index order) through submit_weighted so the skewed tail starts early; on
-/// a FIFO pool, submission stays in index order — byte-identical scheduling
-/// to plain parallel_for. Results are unaffected either way: bodies write
-/// caller-indexed slots.
-void parallel_for_weighted(TaskPool& pool, const std::vector<double>& costs,
-                           const std::function<void(std::size_t)>& body);
 
 }  // namespace mkos::sim

@@ -106,12 +106,4 @@ std::unique_ptr<App> make_xsbench_mcdram();
 /// Factory by name ("AMG2013", "CCS-QCD", ...); nullptr when unknown.
 [[nodiscard]] std::unique_ptr<App> make_app(std::string_view name);
 
-/// Relative per-(node × rep) simulation cost of one app cell, normalized to
-/// MiniFE = 1. The campaign scheduler's cost model estimates a cell as
-/// `nodes × reps × app_cost_weight(app)` to place the skewed tail first —
-/// a placement heuristic only, never a correctness input, so coarse
-/// calibration (measured per-cell wall time on the reference machine,
-/// rounded) is plenty. Unknown names get 1.0.
-[[nodiscard]] double app_cost_weight(std::string_view name);
-
 }  // namespace mkos::workloads

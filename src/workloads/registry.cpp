@@ -27,28 +27,6 @@ std::vector<std::string> registry_names() {
   return names;
 }
 
-double app_cost_weight(std::string_view name) {
-  // Measured: median per-cell simulation wall per rep (bench/sweep_sched
-  // calibration grid, all configs × {16..512} nodes), normalized to MiniFE.
-  // The analytic engine makes most cells near-flat; the one genuine heavy
-  // hitter is Lulesh 2.0, whose brk-churn trace replays at full length on
-  // the Linux config. The exact numbers only steer deque placement.
-  if (name == "AMG2013") return 0.8;
-  if (name == "CCS-QCD") return 0.4;
-  if (name == "GeoFEM") return 0.8;
-  if (name == "HPCG") return 1.0;
-  if (name == "LAMMPS") return 1.6;
-  if (name == "Lulesh2.0") return 30.0;
-  if (name == "MILC") return 1.0;
-  if (name == "MiniFE") return 1.0;
-  // Bandwidth-loop proxies with a single-threaded 64-rank layout; cheaper
-  // than MiniFE's 4-thread cells.
-  if (name == "XSBench/first-touch") return 0.6;
-  if (name == "XSBench/interleave") return 0.6;
-  if (name == "XSBench/mcdram") return 0.6;
-  return 1.0;
-}
-
 std::unique_ptr<App> make_app(std::string_view name) {
   if (name == "AMG2013") return make_amg2013();
   if (name == "CCS-QCD") return make_ccs_qcd();
