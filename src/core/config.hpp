@@ -81,7 +81,8 @@ struct SystemConfig {
   [[nodiscard]] std::string digest() const;
 
   [[nodiscard]] kernel::NodeOsConfig node_config() const;
-  [[nodiscard]] hw::NodeTopology node_topology() const;
+  /// The shared hw/knl.hpp preset for `mem_mode` (never a copy).
+  [[nodiscard]] const hw::NodeTopology& node_topology() const;
   [[nodiscard]] hw::NetworkModel network() const;
 
   /// Assemble the machine an experiment boots.

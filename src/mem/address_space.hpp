@@ -4,10 +4,12 @@
 // process's working set sits in MCDRAM?" — the answer drives the roofline
 // compute model, so placement records are exact, not sampled.
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "hw/topology.hpp"
@@ -33,21 +35,30 @@ enum class VmaKind : std::uint8_t { kText, kBss, kHeap, kStack, kAnon, kShm, kFi
 }
 
 /// Where a mapping's resident pages physically live.
+///
+/// The record is bounded — at most one chunk per (domain, page size) — so it
+/// lives inline and never touches the heap: every VMA, placement result and
+/// LWK heap carries one, and per-rep set-up creates them by the million.
 class Placement {
  public:
+  /// Domain ids a record can hold: SNC-4 KNL has 8 NUMA domains.
+  static constexpr std::size_t kMaxDomains = 8;
+
   struct Chunk {
     hw::DomainId domain;
     PageSize page;
     sim::Bytes bytes;
   };
 
+  /// Requires 0 <= domain < kMaxDomains.
   void add(hw::DomainId domain, PageSize page, sim::Bytes bytes);
-  void clear();
+  void clear() { *this = Placement{}; }
 
   [[nodiscard]] sim::Bytes total() const { return total_; }
   [[nodiscard]] sim::Bytes bytes_in_kind(const hw::NodeTopology& topo, hw::MemKind kind) const {
+    const std::size_t n = std::min(kMaxDomains, topo.domains().size());
     sim::Bytes b = 0;
-    for (std::size_t d = 0; d < by_domain_.size(); ++d) {
+    for (std::size_t d = 0; d < n; ++d) {
       if (topo.domain(static_cast<hw::DomainId>(d)).kind == kind) b += by_domain_[d];
     }
     return b;
@@ -59,19 +70,26 @@ class Placement {
   [[nodiscard]] sim::Bytes bytes_with_page(PageSize p) const {
     return by_page_[static_cast<std::size_t>(p)];
   }
-  [[nodiscard]] const std::vector<Chunk>& chunks() const { return chunks_; }
+  /// One chunk per (domain, page) pair added so far, in first-add order.
+  /// Consumers that sum doubles over it (average_walk_depth) depend on
+  /// that order, so it is part of the contract.
+  [[nodiscard]] std::span<const Chunk> chunks() const { return {chunks_.data(), chunk_count_}; }
 
  private:
-  std::vector<Chunk> chunks_;
+  static constexpr std::size_t kPageSizes = 3;  ///< PageSize values
+  static constexpr std::size_t kMaxChunks = kMaxDomains * kPageSizes;
+
+  std::array<Chunk, kMaxChunks> chunks_{};
+  std::size_t chunk_count_ = 0;
   sim::Bytes total_ = 0;
-  // Incremental aggregates maintained by add()/clear(): the engine reads
+  // Incremental aggregates maintained by add(): the engine reads
   // per-page-size and per-domain volumes between every heap cycle, so the
   // chunk-list scans those reads used to pay are folded into the writes.
-  std::array<sim::Bytes, 3> by_page_{};   ///< indexed by PageSize
-  std::vector<sim::Bytes> by_domain_;     ///< indexed by DomainId
-  /// (domain, page) -> index into chunks_, -1 when absent; turns add()'s
+  std::array<sim::Bytes, kPageSizes> by_page_{};    ///< indexed by PageSize
+  std::array<sim::Bytes, kMaxDomains> by_domain_{};  ///< indexed by DomainId
+  /// (domain, page) -> 1 + index into chunks_, 0 when absent; turns add()'s
   /// find-matching-chunk scan into one lookup.
-  std::vector<std::int32_t> chunk_idx_;
+  std::array<std::uint8_t, kMaxChunks> chunk_slot_{};
 };
 
 /// Protection bits (PROT_* subset).

@@ -38,7 +38,9 @@ class Job {
   /// Boot the representative node and launch `ranks_per_node` processes on
   /// it, bound round-robin across quadrants (NUMA-aware binding, as both
   /// LWKs and the paper's Linux runs do).
+  /// `machine` is referenced and must outlive the job.
   Job(const Machine& machine, JobSpec spec, std::uint64_t seed);
+  Job(Machine&& machine, JobSpec spec, std::uint64_t seed) = delete;
 
   [[nodiscard]] const JobSpec& spec() const { return spec_; }
   [[nodiscard]] const Machine& machine() const { return machine_; }

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <thread>
+#include <type_traits>
+
+#include "core/config.hpp"
 #include "hw/cluster.hpp"
 #include "hw/knl.hpp"
 #include "hw/network.hpp"
@@ -110,5 +115,45 @@ TEST(Topology, FallbackOrderFromEachQuadrantStartsLocal) {
     EXPECT_EQ(t.fallback_order(q)[0], t.domain_in_quadrant(q, MemKind::kDdr4));
   }
 }
+
+TEST(Topology, KnlFactoriesShareOneInstance) {
+  const NodeTopology* snc4 = &knl_snc4_flat();
+  const NodeTopology* quadrant = &knl_quadrant_flat();
+  EXPECT_NE(snc4, quadrant);
+  EXPECT_EQ(&knl_snc4_flat(), snc4);
+  EXPECT_EQ(&knl_quadrant_flat(), quadrant);
+
+  std::array<const NodeTopology*, 4> seen_snc4{};
+  std::array<const NodeTopology*, 4> seen_quadrant{};
+  std::array<std::thread, 4> threads;
+  for (std::size_t i = 0; i < threads.size(); ++i) {
+    threads[i] = std::thread([&, i] {
+      seen_snc4[i] = &knl_snc4_flat();
+      seen_quadrant[i] = &knl_quadrant_flat();
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (std::size_t i = 0; i < threads.size(); ++i) {
+    EXPECT_EQ(seen_snc4[i], snc4);
+    EXPECT_EQ(seen_quadrant[i], quadrant);
+  }
+
+  EXPECT_EQ(&oakforest_pacs(16).node(), snc4);
+  const auto machine = mkos::core::SystemConfig::mckernel().machine(16);
+  EXPECT_EQ(&machine.cluster.node(), snc4);
+}
+
+// Cluster, Node and Job keep a reference to their topology or machine; a
+// temporary argument would dangle, so those overloads are deleted.
+static_assert(std::is_constructible_v<Cluster, int, const NodeTopology&, NetworkModel>);
+static_assert(!std::is_constructible_v<Cluster, int, NodeTopology&&, NetworkModel>);
+static_assert(std::is_constructible_v<mkos::kernel::Node, const NodeTopology&,
+                                      mkos::kernel::NodeOsConfig, std::uint64_t>);
+static_assert(!std::is_constructible_v<mkos::kernel::Node, NodeTopology&&,
+                                       mkos::kernel::NodeOsConfig, std::uint64_t>);
+static_assert(std::is_constructible_v<mkos::runtime::Job, const mkos::runtime::Machine&,
+                                      mkos::runtime::JobSpec, std::uint64_t>);
+static_assert(!std::is_constructible_v<mkos::runtime::Job, mkos::runtime::Machine&&,
+                                       mkos::runtime::JobSpec, std::uint64_t>);
 
 }  // namespace

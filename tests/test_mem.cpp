@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "hw/knl.hpp"
 #include "mem/address_space.hpp"
 #include "mem/phys_allocator.hpp"
@@ -149,6 +151,82 @@ TEST(Placement, FractionAccounting) {
   // Same (domain, page) chunks merge.
   p.add(4, PageSize::k2M, 2 * MiB);
   EXPECT_EQ(p.chunks().size(), 2u);
+}
+
+TEST(Placement, ChunksKeepFirstAddOrderAcrossInterleavedAdds) {
+  Placement p;
+  p.add(5, PageSize::k2M, 2 * MiB);
+  p.add(0, PageSize::k4K, 8 * KiB);
+  p.add(5, PageSize::k4K, 4 * KiB);
+  p.add(0, PageSize::k4K, 4 * KiB);  // merges into the second chunk
+  p.add(7, PageSize::k1G, 1 * GiB);
+  p.add(5, PageSize::k2M, 4 * MiB);  // merges into the first chunk
+  p.add(3, PageSize::k4K, 0);        // empty adds record nothing
+  const auto chunks = p.chunks();
+  ASSERT_EQ(chunks.size(), 4u);
+  EXPECT_EQ(chunks[0].domain, 5);
+  EXPECT_EQ(chunks[0].page, PageSize::k2M);
+  EXPECT_EQ(chunks[0].bytes, 6 * MiB);
+  EXPECT_EQ(chunks[1].domain, 0);
+  EXPECT_EQ(chunks[1].page, PageSize::k4K);
+  EXPECT_EQ(chunks[1].bytes, 12 * KiB);
+  EXPECT_EQ(chunks[2].domain, 5);
+  EXPECT_EQ(chunks[2].page, PageSize::k4K);
+  EXPECT_EQ(chunks[3].domain, 7);
+  EXPECT_EQ(chunks[3].page, PageSize::k1G);
+}
+
+TEST(Placement, AggregatesEqualChunkSums) {
+  const hw::NodeTopology& topo = hw::knl_snc4_flat();
+  Placement p;
+  // Every (domain, page) pair the record can hold, several times over, in
+  // a scrambled order: the inline capacity is exactly kMaxDomains x 3.
+  for (int i = 0; i < 100; ++i) {
+    const int d = (i * 5) % static_cast<int>(Placement::kMaxDomains);
+    const auto page = static_cast<PageSize>((i * 7) % 3);
+    p.add(d, page, static_cast<Bytes>(i + 1) * 4 * KiB);
+  }
+  EXPECT_EQ(p.chunks().size(), Placement::kMaxDomains * 3);
+  Bytes total = 0;
+  std::array<Bytes, 3> by_page{};
+  Bytes mcdram = 0;
+  Bytes ddr = 0;
+  for (const auto& c : p.chunks()) {
+    total += c.bytes;
+    by_page[static_cast<std::size_t>(c.page)] += c.bytes;
+    (topo.domain(c.domain).kind == hw::MemKind::kMcdram ? mcdram : ddr) += c.bytes;
+  }
+  EXPECT_EQ(p.total(), total);
+  for (PageSize page : {PageSize::k4K, PageSize::k2M, PageSize::k1G}) {
+    EXPECT_EQ(p.bytes_with_page(page), by_page[static_cast<std::size_t>(page)]);
+  }
+  EXPECT_EQ(p.bytes_in_kind(topo, hw::MemKind::kMcdram), mcdram);
+  EXPECT_EQ(p.bytes_in_kind(topo, hw::MemKind::kDdr4), ddr);
+  EXPECT_GT(mcdram, 0u);
+  EXPECT_GT(ddr, 0u);
+}
+
+TEST(Placement, ClearEmptiesTheRecord) {
+  const hw::NodeTopology& topo = hw::knl_snc4_flat();
+  Placement p;
+  p.add(4, PageSize::k2M, 2 * MiB);
+  p.add(1, PageSize::k4K, 4 * KiB);
+  p.clear();
+  EXPECT_EQ(p.total(), 0u);
+  EXPECT_TRUE(p.chunks().empty());
+  EXPECT_EQ(p.bytes_with_page(PageSize::k2M), 0u);
+  EXPECT_EQ(p.bytes_in_kind(topo, hw::MemKind::kMcdram), 0u);
+  // A cleared record starts a fresh chunk order.
+  p.add(1, PageSize::k4K, 4 * KiB);
+  ASSERT_EQ(p.chunks().size(), 1u);
+  EXPECT_EQ(p.chunks()[0].domain, 1);
+  EXPECT_EQ(p.chunks()[0].bytes, 4 * KiB);
+}
+
+TEST(Placement, AddBeyondTheDomainBoundAborts) {
+  Placement p;
+  EXPECT_DEATH(p.add(static_cast<hw::DomainId>(Placement::kMaxDomains), PageSize::k4K, 4 * KiB),
+               "precondition");
 }
 
 // --------------------------------------------------------------- placement

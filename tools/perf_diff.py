@@ -6,8 +6,11 @@ perf/trajectory.jsonl holds one JSON object per perf-relevant change:
   {"label": "...", "commit": "<sha>" | null, "host": {...} | null,
    "workloads": {"<workload>": {"<metric>": <median>, ...}, ...}}
 
-`commit` is null for a line recorded before its change was committed (the
-line before it is its parent); `host` is null when the host was not
+A workload's metrics are perfbench's end-to-end medians (`--trace 0`) and,
+from some lines on, the positive per-layer medians of traced runs
+(`--trace 1`, e.g. `hw.machine_ms`); a metric missing from either side of a
+pair is skipped. `commit` is null for a line recorded before its change was
+committed (the line before it is its parent); `host` is null when the host was not
 recorded. Other keys, such as a free-text `runs` describing how the medians
 were taken, are ignored.
 
