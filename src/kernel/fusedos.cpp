@@ -68,8 +68,7 @@ MmapRet FusedOs::sys_mmap(Process& p, sim::Bytes length, mem::VmaKind kind,
   req.use_large_pages = true;  // CNK maps statically with big TLB entries
   vma.policy = req.policy;
   const mem::PlaceResult pr = mem::place_lwk(phys_, topo_, mem_costs_, req);
-  vma.placement = pr.placement;
-  vma.extents = pr.extents;
+  p.address_space().attach(vma, pr.placement, pr.extents);
   // The mapping work itself executed in the CL proxy.
   return {pr.err, offload_cost(128) + pr.map_cost, &vma};
 }

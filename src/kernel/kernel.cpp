@@ -184,7 +184,7 @@ SyscallRet Kernel::sys_munmap(Process& p, sim::Bytes start) {
   if (!vma.has_value()) return {kEINVAL, local_syscall_cost()};
   sim::TimeNs cost = local_syscall_cost();
   const mem::MemCostModel mc = mem_costs();
-  for (const auto& e : vma->extents) {
+  for (const auto& e : vma->extents()) {
     phys_.domain(e.domain).free(e);
     cost += mc.pte_per_page;  // coarse: teardown priced per extent
   }
@@ -239,9 +239,7 @@ SyscallRet Kernel::sys_madvise(Process& p, sim::Bytes addr, Madvise adv) {
   sim::TimeNs cost = local_syscall_cost();
   if (adv == Madvise::kDontNeed && kind() == OsKind::kLinux) {
     // Linux drops the backing; the next touch refaults.
-    for (const auto& e : vma->extents) phys_.domain(e.domain).free(e);
-    vma->extents.clear();
-    vma->placement.clear();
+    for (const auto& e : p.address_space().release(*vma)) phys_.domain(e.domain).free(e);
     vma->demand_paged = true;
     cost += mem_costs().pte_per_page *
             static_cast<std::int64_t>(mem::pages_for(vma->length, vma->touch_page));
@@ -302,8 +300,8 @@ sim::TimeNs Kernel::priced(Sys s, sim::Bytes payload) const {
 
 mem::TouchResult Kernel::touch(Process& p, mem::Vma& vma, sim::Bytes bytes,
                                int concurrent_faulters) {
-  return mem::touch(phys_, topo_, mem_costs(), vma, bytes, p.home_quadrant(),
-                    concurrent_faulters);
+  return mem::touch(phys_, topo_, mem_costs(), p.address_space(), vma, bytes,
+                    p.home_quadrant(), concurrent_faulters);
 }
 
 sim::TimeNs Kernel::heap_touch(Process& p, int concurrent_faulters) {

@@ -137,9 +137,9 @@ class Kernel {
 
   [[nodiscard]] std::uint64_t offloaded_call_count() const { return offloaded_calls_; }
   [[nodiscard]] std::uint64_t local_call_count() const { return local_calls_; }
-  /// Account brk calls replayed (not re-simulated) by the symmetric-lane
-  /// heap fast path: sys_brk is always local, so the replicated lanes'
-  /// calls land in the local counter exactly as the slow path would.
+  /// Account brk calls replayed (not re-simulated) by MpiWorld's heap-cycle
+  /// replay: sys_brk is always local, so the replicated lanes' calls land
+  /// in the local counter exactly as the slow path would.
   void note_replayed_local_calls(std::uint64_t n) { local_calls_ += n; }
   /// IKC request/response round trips taken by offloaded calls. Zero on
   /// kernels whose offload path does not ride a message channel (Linux has

@@ -130,8 +130,7 @@ MmapRet McKernel::sys_mmap(Process& p, sim::Bytes length, mem::VmaKind kind,
   }
 
   const mem::PlaceResult pr = mem::place_lwk(phys_, topo_, mem_costs_, req);
-  vma.placement = pr.placement;
-  vma.extents = pr.extents;
+  p.address_space().attach(vma, pr.placement, pr.extents);
   if (pr.deferred > 0) {
     vma.demand_paged = true;
     vma.touch_page = mem::PageSize::k2M;  // fallback still uses large granules

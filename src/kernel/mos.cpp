@@ -93,8 +93,7 @@ MmapRet Mos::sys_mmap(Process& p, sim::Bytes length, mem::VmaKind kind,
   vma.policy = req.policy;
 
   const mem::PlaceResult pr = mem::place_lwk(phys_, topo_, mem_costs_, req);
-  vma.placement = pr.placement;
-  vma.extents = pr.extents;
+  p.address_space().attach(vma, pr.placement, pr.extents);
   p.add_mcdram_used(pr.mcdram_taken);
   // Rigid allocation: whatever could not be physically backed is an error.
   if (pr.backed < sim::align_up(length, 4 * sim::KiB)) {

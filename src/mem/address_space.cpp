@@ -25,6 +25,34 @@ void Placement::add(hw::DomainId domain, PageSize page, sim::Bytes bytes) {
   slot = static_cast<std::uint8_t>(++chunk_count_);
 }
 
+void Residency::add(hw::DomainId domain, PageSize page, sim::Bytes bytes) {
+  MKOS_EXPECTS(domain >= 0 && static_cast<std::size_t>(domain) < Placement::kMaxDomains);
+  by_domain_[static_cast<std::size_t>(domain)] += bytes;
+  by_page_[static_cast<std::size_t>(page)] += bytes;
+  total_ += bytes;
+}
+
+void Residency::add(const Placement& p) {
+  for (std::size_t d = 0; d < Placement::kMaxDomains; ++d) {
+    by_domain_[d] += p.bytes_in_domain(static_cast<hw::DomainId>(d));
+  }
+  for (const PageSize page : {PageSize::k4K, PageSize::k2M, PageSize::k1G}) {
+    by_page_[static_cast<std::size_t>(page)] += p.bytes_with_page(page);
+  }
+  total_ += p.total();
+}
+
+void Residency::remove(const Placement& p) {
+  MKOS_EXPECTS(p.total() <= total_);
+  for (std::size_t d = 0; d < Placement::kMaxDomains; ++d) {
+    by_domain_[d] -= p.bytes_in_domain(static_cast<hw::DomainId>(d));
+  }
+  for (const PageSize page : {PageSize::k4K, PageSize::k2M, PageSize::k1G}) {
+    by_page_[static_cast<std::size_t>(page)] -= p.bytes_with_page(page);
+  }
+  total_ -= p.total();
+}
+
 AddressSpace::AddressSpace() : mmap_cursor_(kMmapBase) {}
 
 Vma& AddressSpace::map(sim::Bytes length, VmaKind kind, MemPolicy policy) {
@@ -49,7 +77,55 @@ std::optional<Vma> AddressSpace::unmap(sim::Bytes start) {
   if (it == vmas_.end()) return std::nullopt;
   Vma out = std::move(it->second);
   vmas_.erase(it);
+  resident_.remove(out.placement_);
+  if (out.kind != VmaKind::kShm) app_resident_.remove(out.placement_);
+  faults_ -= out.fault_count_;
+  MKOS_AUDIT(totals_match_walk());
   return out;
+}
+
+void AddressSpace::attach(Vma& vma, const Placement& placement, std::vector<Extent> extents) {
+  MKOS_EXPECTS(vma.backed() == 0 && vma.extents_.empty());
+  vma.placement_ = placement;
+  vma.extents_ = std::move(extents);
+  resident_.add(placement);
+  if (vma.kind != VmaKind::kShm) app_resident_.add(placement);
+  MKOS_AUDIT(totals_match_walk());
+}
+
+void AddressSpace::back(Vma& vma, hw::DomainId domain, PageSize page, const Extent& extent) {
+  vma.extents_.push_back(extent);
+  vma.placement_.add(domain, page, extent.length);
+  resident_.add(domain, page, extent.length);
+  if (vma.kind != VmaKind::kShm) app_resident_.add(domain, page, extent.length);
+}
+
+void AddressSpace::note_faults(Vma& vma, std::uint64_t faults) {
+  vma.fault_count_ += faults;
+  faults_ += faults;
+  MKOS_AUDIT(totals_match_walk());
+}
+
+std::vector<Extent> AddressSpace::release(Vma& vma) {
+  resident_.remove(vma.placement_);
+  if (vma.kind != VmaKind::kShm) app_resident_.remove(vma.placement_);
+  vma.placement_.clear();
+  std::vector<Extent> out = std::move(vma.extents_);
+  vma.extents_.clear();
+  MKOS_AUDIT(totals_match_walk());
+  return out;
+}
+
+bool AddressSpace::totals_match_walk() const {
+  Residency all;
+  Residency app;
+  std::uint64_t faults = 0;
+  for (const auto& [s, v] : vmas_) {
+    all.add(v.placement_);
+    if (v.kind != VmaKind::kShm) app.add(v.placement_);
+    faults += v.fault_count_;
+  }
+  return all == resident_ && app == app_resident_ && faults == faults_;
 }
 
 Vma* AddressSpace::find(sim::Bytes addr) {
@@ -64,36 +140,10 @@ const Vma* AddressSpace::find(sim::Bytes addr) const {
   return const_cast<AddressSpace*>(this)->find(addr);
 }
 
-sim::Bytes AddressSpace::resident_bytes() const {
-  sim::Bytes b = 0;
-  for (const auto& [s, v] : vmas_) b += v.backed();
-  return b;
-}
-
 sim::Bytes AddressSpace::mapped_bytes() const {
   sim::Bytes b = 0;
   for (const auto& [s, v] : vmas_) b += v.length;
   return b;
-}
-
-sim::Bytes AddressSpace::resident_in_kind(const hw::NodeTopology& topo,
-                                          hw::MemKind kind) const {
-  sim::Bytes b = 0;
-  for (const auto& [s, v] : vmas_) b += v.placement.bytes_in_kind(topo, kind);
-  return b;
-}
-
-double AddressSpace::resident_fraction_in_kind(const hw::NodeTopology& topo,
-                                               hw::MemKind kind) const {
-  const sim::Bytes res = resident_bytes();
-  if (res == 0) return 0.0;
-  return static_cast<double>(resident_in_kind(topo, kind)) / static_cast<double>(res);
-}
-
-std::uint64_t AddressSpace::total_faults() const {
-  std::uint64_t n = 0;
-  for (const auto& [s, v] : vmas_) n += v.fault_count;
-  return n;
 }
 
 }  // namespace mkos::mem

@@ -56,10 +56,15 @@ class Placement {
 
   [[nodiscard]] sim::Bytes total() const { return total_; }
   [[nodiscard]] sim::Bytes bytes_in_kind(const hw::NodeTopology& topo, hw::MemKind kind) const {
+    return sum_in_kind(by_domain_, topo, kind);
+  }
+  /// Sum of per-domain byte counts over the domains of `topo` of `kind`.
+  [[nodiscard]] static sim::Bytes sum_in_kind(const std::array<sim::Bytes, kMaxDomains>& by_domain,
+                                              const hw::NodeTopology& topo, hw::MemKind kind) {
     const std::size_t n = std::min(kMaxDomains, topo.domains().size());
     sim::Bytes b = 0;
     for (std::size_t d = 0; d < n; ++d) {
-      if (topo.domain(static_cast<hw::DomainId>(d)).kind == kind) b += by_domain_[d];
+      if (topo.domain(static_cast<hw::DomainId>(d)).kind == kind) b += by_domain[d];
     }
     return b;
   }
@@ -69,6 +74,10 @@ class Placement {
   }
   [[nodiscard]] sim::Bytes bytes_with_page(PageSize p) const {
     return by_page_[static_cast<std::size_t>(p)];
+  }
+  /// Bytes in domain `d`; requires 0 <= d < kMaxDomains.
+  [[nodiscard]] sim::Bytes bytes_in_domain(hw::DomainId d) const {
+    return by_domain_[static_cast<std::size_t>(d)];
   }
   /// One chunk per (domain, page) pair added so far, in first-add order.
   /// Consumers that sum doubles over it (average_walk_depth) depend on
@@ -92,11 +101,41 @@ class Placement {
   std::array<std::uint8_t, kMaxChunks> chunk_slot_{};
 };
 
+/// Running byte totals over a set of placements: what summing each
+/// member's total(), bytes_in_kind() and bytes_with_page() would return,
+/// read in O(1). The sums are integers, so they are independent of the
+/// order members were added or removed in.
+class Residency {
+ public:
+  void add(hw::DomainId domain, PageSize page, sim::Bytes bytes);
+  void add(const Placement& p);
+  /// Requires `p` to have been added before (no total goes negative).
+  void remove(const Placement& p);
+
+  [[nodiscard]] sim::Bytes total() const { return total_; }
+  [[nodiscard]] sim::Bytes bytes_with_page(PageSize p) const {
+    return by_page_[static_cast<std::size_t>(p)];
+  }
+  [[nodiscard]] sim::Bytes bytes_in_kind(const hw::NodeTopology& topo, hw::MemKind kind) const {
+    return Placement::sum_in_kind(by_domain_, topo, kind);
+  }
+
+  friend bool operator==(const Residency&, const Residency&) = default;
+
+ private:
+  std::array<sim::Bytes, Placement::kMaxDomains> by_domain_{};
+  std::array<sim::Bytes, 3> by_page_{};  ///< indexed by PageSize
+  sim::Bytes total_ = 0;
+};
+
 /// Protection bits (PROT_* subset).
 inline constexpr int kProtRead = 1;
 inline constexpr int kProtWrite = 2;
 inline constexpr int kProtExec = 4;
 
+/// A mapping. Its physical backing (placement, extents, fault count) is
+/// read-only here: every write goes through the owning AddressSpace, which
+/// keeps its residency totals in step with it.
 struct Vma {
   sim::Bytes start = 0;
   sim::Bytes length = 0;
@@ -104,18 +143,27 @@ struct Vma {
   MemPolicy policy;
   int prot = kProtRead | kProtWrite;
 
-  Placement placement;          ///< physically backed portion
-  std::vector<Extent> extents;  ///< owned physical extents (freed on unmap)
   PageSize touch_page = PageSize::k4K;  ///< granule used for demand faults
   bool demand_paged = false;    ///< unbacked remainder faults on first touch
   /// Demand faults walk the LWK spill order (MCDRAM-first) instead of the
   /// Linux policy order — McKernel's demand-paging fallback.
   bool touch_lwk_order = false;
-  std::uint64_t fault_count = 0;
+
+  /// Physically backed portion.
+  [[nodiscard]] const Placement& placement() const { return placement_; }
+  /// Owned physical extents (freed on unmap).
+  [[nodiscard]] const std::vector<Extent>& extents() const { return extents_; }
+  [[nodiscard]] std::uint64_t fault_count() const { return fault_count_; }
 
   [[nodiscard]] sim::Bytes end() const { return start + length; }
-  [[nodiscard]] sim::Bytes backed() const { return placement.total(); }
+  [[nodiscard]] sim::Bytes backed() const { return placement_.total(); }
   [[nodiscard]] sim::Bytes unbacked() const { return length - backed(); }
+
+ private:
+  friend class AddressSpace;
+  Placement placement_;
+  std::vector<Extent> extents_;
+  std::uint64_t fault_count_ = 0;
 };
 
 class AddressSpace {
@@ -129,6 +177,16 @@ class AddressSpace {
   /// Remove the VMA starting at `start`; returns it (with its extents) so
   /// the kernel can return physical memory. nullopt when no such VMA.
   std::optional<Vma> unmap(sim::Bytes start);
+
+  // Backing writes. `vma` must belong to this address space; these are the
+  // only writers of a VMA's placement, extents and fault count.
+  /// Map-time (upfront) backing of a VMA that has none yet.
+  void attach(Vma& vma, const Placement& placement, std::vector<Extent> extents);
+  /// One demand-faulted extent of `vma`, backed at `page` granule in `domain`.
+  void back(Vma& vma, hw::DomainId domain, PageSize page, const Extent& extent);
+  void note_faults(Vma& vma, std::uint64_t faults);
+  /// Drop all of `vma`'s backing; returns its extents for the caller to free.
+  [[nodiscard]] std::vector<Extent> release(Vma& vma);
 
   [[nodiscard]] Vma* find(sim::Bytes addr);
   [[nodiscard]] const Vma* find(sim::Bytes addr) const;
@@ -145,17 +203,25 @@ class AddressSpace {
     for (auto& [start, vma] : vmas_) f(vma);
   }
 
-  [[nodiscard]] sim::Bytes resident_bytes() const;
+  /// Running totals over every VMA's placement.
+  [[nodiscard]] const Residency& residency() const { return resident_; }
+  /// The same over every VMA except the MPI shared-memory (kShm) ones: the
+  /// application's own working set.
+  [[nodiscard]] const Residency& app_residency() const { return app_resident_; }
+
+  [[nodiscard]] sim::Bytes resident_bytes() const { return resident_.total(); }
   [[nodiscard]] sim::Bytes mapped_bytes() const;
-  [[nodiscard]] sim::Bytes resident_in_kind(const hw::NodeTopology& topo,
-                                            hw::MemKind kind) const;
-  [[nodiscard]] double resident_fraction_in_kind(const hw::NodeTopology& topo,
-                                                 hw::MemKind kind) const;
-  [[nodiscard]] std::uint64_t total_faults() const;
+  [[nodiscard]] std::uint64_t total_faults() const { return faults_; }
 
  private:
+  /// The running totals equal a fresh walk of the VMA map (MKOS_AUDIT).
+  [[nodiscard]] bool totals_match_walk() const;
+
   std::map<sim::Bytes, Vma> vmas_;  // start -> vma
   sim::Bytes mmap_cursor_;
+  Residency resident_;
+  Residency app_resident_;
+  std::uint64_t faults_ = 0;
 };
 
 }  // namespace mkos::mem

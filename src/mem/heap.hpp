@@ -36,6 +36,17 @@ struct HeapStats {
   sim::Bytes zeroed = 0;         ///< bytes cleared on behalf of the app
 
   [[nodiscard]] std::uint64_t calls() const { return queries + grows + shrinks; }
+
+  /// Add `d`'s monotone counters — every field but the break state
+  /// (current, max_break).
+  void add_counters(const HeapStats& d) {
+    queries += d.queries;
+    grows += d.grows;
+    shrinks += d.shrinks;
+    cum_growth += d.cum_growth;
+    faults += d.faults;
+    zeroed += d.zeroed;
+  }
 };
 
 class HeapEngine {
@@ -74,14 +85,13 @@ class HeapEngine {
   /// the placement's chunk composition never enters the price). Monotone
   /// counters (queries, faults, cum_growth, ...) are deliberately excluded
   /// so that a brk cycle which restores the heap shape maps to the same
-  /// fingerprint. Used by the symmetric-lane fast path in
-  /// MpiWorld::heap_cycle to detect lanes in identical states.
+  /// fingerprint. Part of MpiWorld's lane-class key: lanes with equal
+  /// fingerprints are priced by one simulated heap cycle.
   ///
-  /// Memoized against a mutation revision counter: the SPMD steady state
-  /// fingerprints every lane between every cycle, so recomputing the hash
-  /// only after sbrk/touch_new/set_policy turns the dominant profile entry
-  /// into a counter compare. replay_cycle() deliberately does not bump the
-  /// revision — it advances only the monotone counters the hash excludes.
+  /// Memoized against a mutation revision counter, so it is recomputed
+  /// only after sbrk/touch_new/set_policy. apply_replay_delta()
+  /// deliberately does not bump the revision — it advances only the
+  /// monotone counters the hash excludes.
   [[nodiscard]] std::uint64_t state_fingerprint() const {
     if (fp_rev_ != rev_) {
       fp_cache_ = compute_fingerprint();
@@ -90,17 +100,9 @@ class HeapEngine {
     return fp_cache_;
   }
 
-  /// Replay the counter deltas of a simulated representative cycle onto this
-  /// engine without re-simulating it. Precondition (checked): the cycle left
-  /// the representative's state untouched (current/max_break unchanged), so
-  /// only monotone counters advance. Header-inline: the fast path calls this
-  /// once per lane per cycle, so call overhead was measurable.
-  void replay_cycle(const HeapStats& before, const HeapStats& after) {
-    apply_replay_delta(replay_delta(before, after));
-  }
-
-  /// The monotone-counter delta of a state-neutral cycle, checked once so a
-  /// replay across many lanes can apply the subtraction-free form below.
+  /// The monotone-counter delta of a simulated state-neutral cycle.
+  /// Precondition (checked): the cycle left the break state untouched
+  /// (current/max_break unchanged), so only monotone counters advanced.
   [[nodiscard]] static HeapStats replay_delta(const HeapStats& before, const HeapStats& after) {
     MKOS_EXPECTS(after.current == before.current);
     MKOS_EXPECTS(after.max_break == before.max_break);
@@ -114,14 +116,8 @@ class HeapEngine {
     return d;
   }
 
-  void apply_replay_delta(const HeapStats& d) {
-    stats_.queries += d.queries;
-    stats_.grows += d.grows;
-    stats_.shrinks += d.shrinks;
-    stats_.cum_growth += d.cum_growth;
-    stats_.faults += d.faults;
-    stats_.zeroed += d.zeroed;
-  }
+  /// Replay such a delta onto this engine without re-simulating the cycle.
+  void apply_replay_delta(const HeapStats& d) { stats_.add_counters(d); }
 
   [[nodiscard]] const HeapStats& stats() const { return stats_; }
 

@@ -96,7 +96,7 @@ class DomainAllocator {
 
   /// O(1) hash of the free-map state (volume, extent count, boundary
   /// extents). A sequence of allocations exactly undone by frees maps back
-  /// to the same fingerprint; used by the symmetric-lane heap fast path to
+  /// to the same fingerprint; used by MpiWorld's heap-cycle replay to
   /// verify a brk cycle left the allocator where it found it. Memoized
   /// against a mutation revision: the fast path probes it on every cycle,
   /// mutations are comparatively rare.

@@ -178,7 +178,8 @@ PlaceResult place_linux(const hw::NodeTopology& topo, const MemCostModel& cost,
 }
 
 TouchResult touch(PhysMemory& phys, const hw::NodeTopology& topo, const MemCostModel& cost,
-                  Vma& vma, sim::Bytes bytes, int home_quadrant, int concurrent_faulters) {
+                  AddressSpace& as, Vma& vma, sim::Bytes bytes, int home_quadrant,
+                  int concurrent_faulters) {
   TouchResult res;
   if (!vma.demand_paged) return res;
   sim::Bytes remaining = std::min(bytes, vma.unbacked());
@@ -231,8 +232,7 @@ TouchResult touch(PhysMemory& phys, const hw::NodeTopology& topo, const MemCostM
         const auto& extents = alloc.alloc_best_effort(ask, granule);
         if (extents.empty()) break;  // domain exhausted; next in fallback order
         for (const auto& e : extents) {
-          vma.extents.push_back(e);
-          vma.placement.add(d, page, e.length);
+          as.back(vma, d, page, e);
           const std::uint64_t n = pages_for(e.length, page);
           res.faults += n;
           const sim::TimeNs handler = page == PageSize::k4K ? cost.fault_4k : cost.fault_large;
@@ -247,7 +247,7 @@ TouchResult touch(PhysMemory& phys, const hw::NodeTopology& topo, const MemCostM
       }
     }
   }
-  vma.fault_count += res.faults;
+  as.note_faults(vma, res.faults);
   if (vma.unbacked() == 0) vma.demand_paged = vma.kind == VmaKind::kHeap;  // heap can grow again
   return res;
 }

@@ -86,12 +86,12 @@ struct TouchResult {
   sim::TimeNs cost{0};
 };
 
-/// First-touch `bytes` of a demand-paged VMA: allocate physical pages in
-/// policy order, charge fault handling + zeroing. `concurrent_faulters` is
-/// the number of ranks on the node concurrently inside the fault path.
+/// First-touch `bytes` of a demand-paged VMA of `as`: allocate physical
+/// pages in policy order, charge fault handling + zeroing. `concurrent_faulters`
+/// is the number of ranks on the node concurrently inside the fault path.
 [[nodiscard]] TouchResult touch(PhysMemory& phys, const hw::NodeTopology& topo,
-                                const MemCostModel& cost, Vma& vma, sim::Bytes bytes,
-                                int home_quadrant, int concurrent_faulters);
+                                const MemCostModel& cost, AddressSpace& as, Vma& vma,
+                                sim::Bytes bytes, int home_quadrant, int concurrent_faulters);
 
 /// Domain order a Linux first-touch walks for the given policy. Returns a
 /// reference into the topology's precomputed tables (or the policy's own

@@ -19,25 +19,6 @@ void record_heap(RunLedger& ledger, const mem::HeapStats& stats) {
   ledger.incr("heap.cum_growth_bytes", stats.cum_growth);
 }
 
-void record_placement(RunLedger& ledger, const mem::Placement& placement,
-                      const hw::NodeTopology& topo) {
-  ledger.incr("mem.bytes_4k", placement.bytes_with_page(mem::PageSize::k4K));
-  ledger.incr("mem.bytes_2m", placement.bytes_with_page(mem::PageSize::k2M));
-  ledger.incr("mem.bytes_1g", placement.bytes_with_page(mem::PageSize::k1G));
-  ledger.incr("mem.bytes_mcdram", placement.bytes_in_kind(topo, hw::MemKind::kMcdram));
-  ledger.incr("mem.bytes_ddr4", placement.bytes_in_kind(topo, hw::MemKind::kDdr4));
-}
-
-void record_address_space(RunLedger& ledger, const mem::AddressSpace& as,
-                          const hw::NodeTopology& topo) {
-  // for_each walks the VMA map in address order — deterministic.
-  as.for_each([&](const mem::Vma& vma) {
-    record_placement(ledger, vma.placement, topo);
-  });
-  ledger.incr("mem.faults", as.total_faults());
-  ledger.incr("mem.vmas", as.vma_count());
-}
-
 void record_kernel(RunLedger& ledger, const kernel::Kernel& k) {
   ledger.incr("kernel.syscalls_local", k.local_call_count());
   ledger.incr("kernel.syscalls_offloaded", k.offloaded_call_count());
@@ -89,8 +70,8 @@ void record_job(RunLedger& ledger, runtime::Job& job) {
   const hw::NodeTopology& topo = job.kernel().topo();
   // Aggregate across lanes before touching the ledger: incr() is additive
   // and every lane emits the same fixed name set, so one bulk update per
-  // name produces byte-identical JSON to the per-lane loop while paying
-  // each name lookup once per job instead of once per lane (and per VMA).
+  // name pays each name lookup once per job instead of once per lane. Each
+  // address space's residency totals are O(1) reads (no VMA walk).
   mem::HeapStats heap_sum;
   bool any_heap = false;
   sim::Bytes by_page[3] = {0, 0, 0};
@@ -101,24 +82,16 @@ void record_job(RunLedger& ledger, runtime::Job& job) {
   for (int i = 0; i < job.lane_count(); ++i) {
     const kernel::Process& p = job.lane(i);
     if (p.heap() != nullptr) {
-      const mem::HeapStats& s = p.heap()->stats();
-      heap_sum.queries += s.queries;
-      heap_sum.grows += s.grows;
-      heap_sum.shrinks += s.shrinks;
-      heap_sum.cum_growth += s.cum_growth;
-      heap_sum.faults += s.faults;
-      heap_sum.zeroed += s.zeroed;
+      heap_sum.add_counters(p.heap()->stats());
       any_heap = true;
     }
     const mem::AddressSpace& as = p.address_space();
-    as.for_each([&](const mem::Vma& vma) {
-      const mem::Placement& pl = vma.placement;
-      by_page[0] += pl.bytes_with_page(mem::PageSize::k4K);
-      by_page[1] += pl.bytes_with_page(mem::PageSize::k2M);
-      by_page[2] += pl.bytes_with_page(mem::PageSize::k1G);
-      mcdram += pl.bytes_in_kind(topo, hw::MemKind::kMcdram);
-      ddr4 += pl.bytes_in_kind(topo, hw::MemKind::kDdr4);
-    });
+    const mem::Residency& r = as.residency();
+    by_page[0] += r.bytes_with_page(mem::PageSize::k4K);
+    by_page[1] += r.bytes_with_page(mem::PageSize::k2M);
+    by_page[2] += r.bytes_with_page(mem::PageSize::k1G);
+    mcdram += r.bytes_in_kind(topo, hw::MemKind::kMcdram);
+    ddr4 += r.bytes_in_kind(topo, hw::MemKind::kDdr4);
     faults += as.total_faults();
     vmas += as.vma_count();
   }

@@ -11,14 +11,8 @@
 
 #include "obs/ledger.hpp"
 
-namespace mkos::hw {
-class NodeTopology;
-}  // namespace mkos::hw
-
 namespace mkos::mem {
 struct HeapStats;
-class Placement;
-class AddressSpace;
 }  // namespace mkos::mem
 
 namespace mkos::kernel {
@@ -43,15 +37,6 @@ namespace mkos::obs {
 /// heap.* counters: brk traffic, faults, zeroing work.
 void record_heap(RunLedger& ledger, const mem::HeapStats& stats);
 
-/// mem.* counters: resident bytes by page size and by memory kind.
-void record_placement(RunLedger& ledger, const mem::Placement& placement,
-                      const hw::NodeTopology& topo);
-
-/// mem.* counters over every VMA of an address space (page-size mix,
-/// MCDRAM vs DDR4 split, demand faults).
-void record_address_space(RunLedger& ledger, const mem::AddressSpace& as,
-                          const hw::NodeTopology& topo);
-
 /// kernel.* counters (local/offloaded calls, IKC round trips) and the
 /// noise model's per-source rates as gauges (kernel.noise.<label>.rate_hz).
 void record_kernel(RunLedger& ledger, const kernel::Kernel& k);
@@ -59,8 +44,10 @@ void record_kernel(RunLedger& ledger, const kernel::Kernel& k);
 /// runtime.* counters: collectives, stages, phase breakdown (ns), stalls.
 void record_world(RunLedger& ledger, const runtime::MpiWorld& world);
 
-/// Whole-job snapshot: kernel + every lane's heap and address space, in
-/// lane order (positional, hence deterministic).
+/// Whole-job snapshot: kernel + every lane's heap and address space
+/// (mem.* counters: resident bytes by page size and by memory kind, demand
+/// faults, VMA count), summed over lanes. Per-lane heap counters are exact
+/// once the job's MpiWorld has finished (MpiWorld::finish()).
 void record_job(RunLedger& ledger, runtime::Job& job);
 
 /// fault.* counters: injected/recovered event tallies and the time the run

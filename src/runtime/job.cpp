@@ -3,10 +3,18 @@
 #include <algorithm>
 
 #include "mem/tlb.hpp"
-
 #include "sim/contracts.hpp"
 
 namespace mkos::runtime {
+
+namespace {
+
+/// The heap engine's placement record, or nullptr when it keeps none.
+const mem::Placement* heap_placement(const kernel::Process& p) {
+  return p.heap() != nullptr ? p.heap()->placement_or_null() : nullptr;
+}
+
+}  // namespace
 
 Job::Job(const Machine& machine, JobSpec spec, std::uint64_t seed)
     : machine_(machine), spec_(spec) {
@@ -39,51 +47,47 @@ kernel::Process& Job::lane(int i) {
 double Job::lane_fraction_in(int i, hw::MemKind kind) const {
   MKOS_EXPECTS(i >= 0 && i < lane_count());
   const kernel::Process& p = *lanes_[static_cast<std::size_t>(i)];
-  double frac = p.address_space().resident_fraction_in_kind(node_->topo(), kind);
-  // Include the heap engine's own placement (LwkHeap tracks it separately).
-  if (const auto* lwk = dynamic_cast<const mem::LwkHeap*>(p.heap())) {
-    const sim::Bytes as_res = p.address_space().resident_bytes();
-    const sim::Bytes heap_res = lwk->placement().total();
-    if (as_res + heap_res > 0) {
-      const sim::Bytes in_kind = p.address_space().resident_in_kind(node_->topo(), kind) +
-                                 lwk->placement().bytes_in_kind(node_->topo(), kind);
-      frac = static_cast<double>(in_kind) / static_cast<double>(as_res + heap_res);
-    }
+  const auto& topo = node_->topo();
+  const mem::Residency& as = p.address_space().residency();
+  sim::Bytes res = as.total();
+  sim::Bytes in_kind = as.bytes_in_kind(topo, kind);
+  // Include the heap engine's own placement (kept outside the VMA map).
+  if (const mem::Placement* hp = heap_placement(p)) {
+    res += hp->total();
+    in_kind += hp->bytes_in_kind(topo, kind);
   }
-  return frac;
+  if (res == 0) return 0.0;
+  return static_cast<double>(in_kind) / static_cast<double>(res);
 }
 
-double Job::lane_effective_gbps(int i) const {
+Job::StreamMix Job::lane_stream_mix(int i) const {
   MKOS_EXPECTS(i >= 0 && i < lane_count());
   const kernel::Process& p = *lanes_[static_cast<std::size_t>(i)];
   const auto& topo = node_->topo();
 
   // Communication buffers (shm) are excluded: the roofline streams the
   // application's working set, not the MPI segment.
-  sim::Bytes res = 0;
-  sim::Bytes in_mcdram = 0;
-  sim::Bytes in_4k = 0;
-  sim::Bytes in_1g = 0;
-  p.address_space().for_each([&](const mem::Vma& v) {
-    if (v.kind == mem::VmaKind::kShm) return;
-    res += v.backed();
-    in_mcdram += v.placement.bytes_in_kind(topo, hw::MemKind::kMcdram);
-    in_4k += v.placement.bytes_with_page(mem::PageSize::k4K);
-    in_1g += v.placement.bytes_with_page(mem::PageSize::k1G);
-  });
-  const mem::Placement* hp =
-      p.heap() != nullptr ? p.heap()->placement_or_null() : nullptr;
-  if (hp != nullptr) {
-    res += hp->total();
-    in_mcdram += hp->bytes_in_kind(topo, hw::MemKind::kMcdram);
-    in_4k += hp->bytes_with_page(mem::PageSize::k4K);
+  const mem::Residency& app = p.address_space().app_residency();
+  StreamMix mix{app.total(), app.bytes_in_kind(topo, hw::MemKind::kMcdram),
+                app.bytes_with_page(mem::PageSize::k4K),
+                app.bytes_with_page(mem::PageSize::k1G)};
+  if (const mem::Placement* hp = heap_placement(p)) {
+    mix.resident += hp->total();
+    mix.in_mcdram += hp->bytes_in_kind(topo, hw::MemKind::kMcdram);
+    mix.in_4k += hp->bytes_with_page(mem::PageSize::k4K);
   }
+  return mix;
+}
+
+double Job::effective_gbps(const StreamMix& mix) const {
+  const auto& topo = node_->topo();
+  const sim::Bytes res = mix.resident;
   if (res == 0) {
     // Nothing resident yet: assume the DDR4 rate.
     return topo.total_bandwidth_gbps(hw::MemKind::kDdr4) / spec_.ranks_per_node;
   }
 
-  const double f_mcdram = static_cast<double>(in_mcdram) / static_cast<double>(res);
+  const double f_mcdram = static_cast<double>(mix.in_mcdram) / static_cast<double>(res);
   const double bw_mcdram = topo.total_bandwidth_gbps(hw::MemKind::kMcdram);
   const double bw_ddr = topo.total_bandwidth_gbps(hw::MemKind::kDdr4);
 
@@ -97,20 +101,12 @@ double Job::lane_effective_gbps(int i) const {
   // Page-granularity factor from the TLB-coverage model: 4 KiB-backed data
   // pays a page-table walk per streamed page once the working set exceeds
   // the TLB reach; 2 MiB/1 GiB mappings are covered (mem/tlb.hpp).
-  mem::Placement mix;
-  mix.add(0, mem::PageSize::k4K, in_4k);
-  mix.add(0, mem::PageSize::k1G, in_1g);
-  mix.add(0, mem::PageSize::k2M, res - in_4k - in_1g);
-  gbps *= mem::tlb_bandwidth_factor(mem::TlbSpec::knl(), mix, gbps);
+  mem::Placement pages;
+  pages.add(0, mem::PageSize::k4K, mix.in_4k);
+  pages.add(0, mem::PageSize::k1G, mix.in_1g);
+  pages.add(0, mem::PageSize::k2M, res - mix.in_4k - mix.in_1g);
+  gbps *= mem::tlb_bandwidth_factor(mem::TlbSpec::knl(), pages, gbps);
   return gbps;
-}
-
-double Job::min_effective_gbps() const {
-  double worst = lane_effective_gbps(0);
-  for (int i = 1; i < lane_count(); ++i) {
-    worst = std::min(worst, lane_effective_gbps(i));
-  }
-  return worst;
 }
 
 }  // namespace mkos::runtime

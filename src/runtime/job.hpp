@@ -55,17 +55,33 @@ class Job {
   [[nodiscard]] int lane_count() const { return static_cast<int>(lanes_.size()); }
   [[nodiscard]] kernel::Process& lane(int i);
 
-  /// Aggregate per-lane placement: fraction of resident bytes in `kind`.
+  /// Aggregate per-lane placement: fraction of resident bytes (every VMA
+  /// plus the heap engine's own record) in `kind`.
   [[nodiscard]] double lane_fraction_in(int i, hw::MemKind kind) const;
 
-  /// Effective per-rank stream bandwidth (GB/s) for lane i, from its actual
+  /// What lane i streams: its resident working set (every VMA but the MPI
+  /// shm segment, plus the heap engine's record) and how that splits by
+  /// memory kind and page size. O(1): read from running totals.
+  struct StreamMix {
+    sim::Bytes resident = 0;
+    sim::Bytes in_mcdram = 0;
+    sim::Bytes in_4k = 0;
+    sim::Bytes in_1g = 0;
+
+    friend bool operator==(const StreamMix&, const StreamMix&) = default;
+  };
+  [[nodiscard]] StreamMix lane_stream_mix(int i) const;
+
+  /// Effective per-rank stream bandwidth (GB/s) of a mix, from its
   /// MCDRAM/DDR4 placement, with node bandwidth shared across ranks and a
   /// TLB/contiguity factor from the page-size mix ("An implication of
-  /// contiguous physical memory is better cache performance").
-  [[nodiscard]] double lane_effective_gbps(int i) const;
-
-  /// Worst (slowest) lane's effective bandwidth — the node's critical rank.
-  [[nodiscard]] double min_effective_gbps() const;
+  /// contiguous physical memory is better cache performance"). Equal mixes
+  /// give bit-equal bandwidths.
+  [[nodiscard]] double effective_gbps(const StreamMix& mix) const;
+  /// effective_gbps(lane_stream_mix(i)).
+  [[nodiscard]] double lane_effective_gbps(int i) const {
+    return effective_gbps(lane_stream_mix(i));
+  }
 
  private:
   const Machine& machine_;

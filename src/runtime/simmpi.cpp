@@ -30,6 +30,11 @@ std::uint64_t phys_fingerprint(const mem::PhysMemory& phys) {
   return h;
 }
 
+/// Time to stream `bytes` at `gbps` GB/s.
+sim::TimeNs stream_time(double bytes, double gbps) {
+  return sim::from_double_ns(bytes / (gbps * 1e9) * 1e9);
+}
+
 }  // namespace
 
 MpiWorld::MpiWorld(Job& job, std::uint64_t noise_seed)
@@ -46,24 +51,78 @@ MpiWorld::MpiWorld(Job& job, std::uint64_t noise_seed)
 }
 
 void MpiWorld::refresh_lanes() {
-  lanes_.gbps.resize(static_cast<std::size_t>(job_.lane_count()));
-  lanes_.heaps.resize(static_cast<std::size_t>(job_.lane_count()));
-  if (job_.lane_count() == 0) {
-    // No lanes: nothing to min over — leave a safe, recognizable default
-    // rather than the +inf-like scan sentinel.
-    min_lane_gbps_ = 0.0;
-    lanes_uniform_ = true;
-    return;
+  const auto n = static_cast<std::size_t>(job_.lane_count());
+  lanes_.gbps.resize(n);
+  lanes_.heaps.resize(n);
+  // Neighbouring lanes usually stream the same mix (SPMD working sets):
+  // price each run of equal mixes once.
+  Job::StreamMix prev_mix;
+  double prev_gbps = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Job::StreamMix mix = job_.lane_stream_mix(static_cast<int>(i));
+    if (i == 0 || !(mix == prev_mix)) {
+      prev_mix = mix;
+      prev_gbps = job_.effective_gbps(mix);
+    }
+    lanes_.gbps[i] = prev_gbps;
+    MKOS_ENSURES(lanes_.gbps[i] > 0.0);
+    lanes_.heaps[i] = job_.lane(static_cast<int>(i)).heap();
+    MKOS_ENSURES(lanes_.heaps[i] != nullptr);
   }
-  min_lane_gbps_ = 1e30;
-  lanes_uniform_ = true;
-  for (int i = 0; i < job_.lane_count(); ++i) {
-    lanes_.gbps[static_cast<std::size_t>(i)] = job_.lane_effective_gbps(i);
-    min_lane_gbps_ = std::min(min_lane_gbps_, lanes_.gbps[static_cast<std::size_t>(i)]);
-    if (lanes_.gbps[static_cast<std::size_t>(i)] != lanes_.gbps[0]) lanes_uniform_ = false;
-    lanes_.heaps[static_cast<std::size_t>(i)] = job_.lane(i).heap();
+  rebuild_classes();
+}
+
+void MpiWorld::settle_replays() {
+  for (std::size_t i = 1; i < lanes_.size(); ++i) {
+    lanes_.heaps[i]->apply_replay_delta(replay_owed_);
   }
-  MKOS_ENSURES(min_lane_gbps_ > 0.0 && min_lane_gbps_ < 1e30);
+  replay_owed_ = mem::HeapStats{};
+}
+
+void MpiWorld::rebuild_classes() {
+  settle_replays();
+  // Class-pending work belongs to every lane of the old class: move it into
+  // the lane slots so regrouping loses none of it.
+  if (!classes_.empty()) {
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+      const std::int64_t owed = classes_[lanes_.class_of[i]].pending_ns;
+      lanes_.pending_ns[i] += owed;
+      lane_pending_dirty_ = lane_pending_dirty_ || owed != 0;
+    }
+  }
+  classes_.clear();
+  lanes_.class_of.resize(lanes_.size());
+  for (std::size_t i = 0; i < lanes_.size(); ++i) {
+    const LaneClass key{lanes_.gbps[i], lanes_.heaps[i]->state_fingerprint()};
+    // With fast paths off every lane opens its own class.
+    std::size_t k = fast_paths_ ? 0 : classes_.size();
+    while (k < classes_.size() &&
+           !(classes_[k].gbps == key.gbps && classes_[k].heap_fp == key.heap_fp)) {
+      ++k;
+    }
+    if (k == classes_.size()) classes_.push_back(key);
+    lanes_.class_of[i] = static_cast<std::uint32_t>(k);
+  }
+}
+
+bool MpiWorld::one_bandwidth() const {
+  return std::all_of(classes_.begin(), classes_.end(),
+                     [&](const LaneClass& c) { return c.gbps == classes_[0].gbps; });
+}
+
+bool MpiWorld::one_heap_state() const {
+  return std::all_of(classes_.begin(), classes_.end(),
+                     [&](const LaneClass& c) { return c.heap_fp == classes_[0].heap_fp; });
+}
+
+bool MpiWorld::classes_match_lanes() const {
+  for (std::size_t i = 0; i < lanes_.size(); ++i) {
+    const LaneClass& c = classes_[lanes_.class_of[i]];
+    if (c.gbps != lanes_.gbps[i] || c.heap_fp != lanes_.heaps[i]->state_fingerprint()) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void MpiWorld::set_fast_paths(bool on) {
@@ -71,6 +130,7 @@ void MpiWorld::set_fast_paths(bool on) {
   coll_cache_.clear();
   msg_cache_.clear();
   heap_memo_.clear();
+  rebuild_classes();
 }
 
 void MpiWorld::mpi_init(sim::Bytes shm_segment_bytes) {
@@ -84,60 +144,49 @@ std::uint64_t MpiWorld::global_cores() const {
          static_cast<std::uint64_t>(job_.node().app_core_count());
 }
 
-void MpiWorld::compute_bytes(sim::Bytes bytes_per_rank) {
-  if (lanes_.size() == 0) return;
-  if (fast_paths_ && lanes_uniform_) {
+void MpiWorld::stream_bytes(double bytes_per_rank) {
+  if (classes_.empty()) return;
+  if (fast_paths_ && one_bandwidth()) {
     // Every lane gets the same increment, so the per-sync maximum shifts by
     // exactly that increment: fold it into the uniform accumulator. The ns
-    // expression matches the per-lane one bit-for-bit (same operands).
-    const double ns =
-        static_cast<double>(bytes_per_rank) / (min_lane_gbps_ * 1e9) * 1e9;
-    pending_uniform_ += sim::from_double_ns(ns);
+    // expression matches the per-class one bit-for-bit (same operands).
+    pending_uniform_ += stream_time(bytes_per_rank, classes_[0].gbps);
     ++engine_.compute_uniform_fast;
     return;
   }
   ++engine_.compute_lane_loops;
-  lane_pending_dirty_ = true;
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    const double ns = static_cast<double>(bytes_per_rank) / (lanes_.gbps[i] * 1e9) * 1e9;
-    lanes_.pending_ns[i] += sim::from_double_ns(ns).ns();
-  }
+  for (LaneClass& c : classes_) c.pending_ns += stream_time(bytes_per_rank, c.gbps).ns();
+}
+
+void MpiWorld::compute_bytes(sim::Bytes bytes_per_rank) {
+  stream_bytes(static_cast<double>(bytes_per_rank));
 }
 
 void MpiWorld::compute_bytes_scaled(sim::Bytes bytes_per_rank,
                                     const std::vector<double>& lane_scale) {
   MKOS_EXPECTS(!lane_scale.empty());
-  if (lanes_.size() == 0) return;
-  if (fast_paths_ && lanes_uniform_) {
-    const bool flat =
-        std::all_of(lane_scale.begin(), lane_scale.end(),
-                    [&](double s) { return s == lane_scale[0]; });
-    if (flat) {
-      const double scaled = static_cast<double>(bytes_per_rank) * lane_scale[0];
-      pending_uniform_ += sim::from_double_ns(scaled / (min_lane_gbps_ * 1e9) * 1e9);
-      ++engine_.compute_uniform_fast;
-      return;
-    }
-    // Uniform bandwidth, non-flat scale: one division per distinct scale
-    // entry instead of one per lane.
-    std::vector<std::int64_t> per_scale(lane_scale.size());
-    for (std::size_t j = 0; j < lane_scale.size(); ++j) {
-      const double scaled = static_cast<double>(bytes_per_rank) * lane_scale[j];
-      per_scale[j] = sim::from_double_ns(scaled / (min_lane_gbps_ * 1e9) * 1e9).ns();
-    }
-    ++engine_.compute_lane_loops;
-    lane_pending_dirty_ = true;
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
-      lanes_.pending_ns[i] += per_scale[i % per_scale.size()];
-    }
+  const bool flat = std::all_of(lane_scale.begin(), lane_scale.end(),
+                                [&](double s) { return s == lane_scale[0]; });
+  if (flat) {
+    stream_bytes(static_cast<double>(bytes_per_rank) * lane_scale[0]);
     return;
+  }
+  if (classes_.empty()) return;
+  // Lane i streams bytes * scale[i % size]: price each (class, scale entry)
+  // pair once, then hand every lane its entry.
+  const std::size_t n_scale = lane_scale.size();
+  std::vector<std::int64_t> priced(classes_.size() * n_scale);
+  for (std::size_t k = 0; k < classes_.size(); ++k) {
+    for (std::size_t j = 0; j < n_scale; ++j) {
+      priced[k * n_scale + j] =
+          stream_time(static_cast<double>(bytes_per_rank) * lane_scale[j], classes_[k].gbps)
+              .ns();
+    }
   }
   ++engine_.compute_lane_loops;
   lane_pending_dirty_ = true;
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    const double scaled =
-        static_cast<double>(bytes_per_rank) * lane_scale[i % lane_scale.size()];
-    lanes_.pending_ns[i] += sim::from_double_ns(scaled / (lanes_.gbps[i] * 1e9) * 1e9).ns();
+    lanes_.pending_ns[i] += priced[lanes_.class_of[i] * n_scale + i % n_scale];
   }
 }
 
@@ -188,6 +237,18 @@ const MpiWorld::HeapCycleMemo* MpiWorld::find_heap_memo(
   return nullptr;
 }
 
+sim::TimeNs MpiWorld::simulate_heap_cycle(int lane, std::span<const std::int64_t> deltas,
+                                          int faulters) {
+  kernel::Kernel& k = job_.kernel();
+  kernel::Process& p = job_.lane(lane);
+  sim::TimeNs cost{0};
+  for (const std::int64_t d : deltas) {
+    cost += k.sys_brk(p, d).cost;
+    if (d > 0) cost += k.heap_touch(p, faulters);
+  }
+  return cost;
+}
+
 void MpiWorld::heap_cycle(std::span<const std::int64_t> deltas) {
   kernel::Kernel& k = job_.kernel();
   const int lanes = job_.lane_count();
@@ -197,36 +258,28 @@ void MpiWorld::heap_cycle(std::span<const std::int64_t> deltas) {
   // the effective concurrency in the fault handler is a fraction of the
   // rank count.
   const int faulters = 1 + lanes / 8;
+  MKOS_AUDIT(classes_match_lanes());
 
-  // Symmetric-lane detection: in the common SPMD steady state every lane's
-  // heap is in the same (cost-relevant) state, so one representative cycle
-  // prices all of them. The per-lane fingerprints are revision-cached, so
-  // this scan is a contiguous compare in the steady state.
-  bool symmetric = fast_paths_ && lanes > 1;
-  std::uint64_t fp0 = 0;
-  if (symmetric) {
-    fp0 = lanes_.heaps[0]->state_fingerprint();
-    for (int i = 1; symmetric && i < lanes; ++i) {
-      symmetric = lanes_.heaps[i]->state_fingerprint() == fp0;
-    }
-  }
-  const std::uint64_t phys_before = symmetric ? phys_fingerprint(k.phys()) : 0;
+  // In the common SPMD steady state every lane's heap is in the same
+  // (cost-relevant) state — one heap class — so lane 0 prices the cycle
+  // for all of them.
+  if (fast_paths_ && lanes > 1 && one_heap_state()) {
+    mem::HeapEngine& heap0 = *lanes_.heaps[0];
+    const std::uint64_t fp0 = heap0.state_fingerprint();
+    const std::uint64_t phys_before = phys_fingerprint(k.phys());
 
-  // Whole-cycle memo: this exact delta sequence already ran from this exact
-  // (heap, phys) fingerprint state and proved state-neutral, so the heaps
-  // and the allocator end where they started and the cost and counter
-  // deltas replay verbatim — for the representative too. The brk path draws
-  // no randomness, so skipping the simulation perturbs no RNG stream, and
-  // the engine/kernel counters advance exactly as the simulate-one /
-  // replay-rest path below would have.
-  if (symmetric) {
+    // Whole-cycle memo: this exact delta sequence already ran from this
+    // exact (heap, phys) fingerprint state and proved state-neutral, so the
+    // heaps and the allocator end where they started and the cost and
+    // counter deltas replay verbatim — for lane 0 too. The brk path draws
+    // no randomness, so skipping the simulation perturbs no RNG stream, and
+    // the engine/kernel counters advance exactly as the simulate-one /
+    // replay-rest path below would have.
     if (const HeapCycleMemo* m = find_heap_memo(deltas, fp0, phys_before, faulters)) {
-      for (int i = 0; i < lanes; ++i) {
-        lanes_.heaps[static_cast<std::size_t>(i)]->apply_replay_delta(m->delta);
-      }
+      heap0.apply_replay_delta(m->delta);
+      replay_owed_.add_counters(m->delta);
       // The replayed cost is uniform across lanes, and a uniform increment
-      // commutes with synchronize()'s max reduction — so it accumulates in
-      // pending_uniform_ instead of touching every per-lane slot.
+      // commutes with synchronize()'s max reduction.
       pending_uniform_ += m->cost0;
       k.note_replayed_local_calls(static_cast<std::uint64_t>(deltas.size()) *
                                   static_cast<std::uint64_t>(lanes));
@@ -234,84 +287,72 @@ void MpiWorld::heap_cycle(std::span<const std::int64_t> deltas) {
       engine_.heap_fast_lanes += static_cast<std::uint64_t>(lanes - 1);
       return;
     }
+
+    const mem::HeapStats stats_before = heap0.stats();
+    const sim::TimeNs cost0 = simulate_heap_cycle(0, deltas, faulters);
+    ++engine_.heap_slow_lanes;
+
+    // Replay is exact only if the cycle was state-neutral: lane 0's heap
+    // returned to its pre-cycle fingerprint AND the shared physical
+    // allocator is back where it started. Then every other lane starts from
+    // the same heap scalars, moves the same byte counts through per-byte
+    // costs that never depend on which domain supplies the pages, and —
+    // when the cycle did engage the allocator — returns everything it drew,
+    // so the restored free maps serve every lane the same total. The
+    // replicated cost and counter deltas are therefore exact.
+    if (heap0.state_fingerprint() == fp0 && phys_fingerprint(k.phys()) == phys_before) {
+      const mem::HeapStats delta = mem::HeapEngine::replay_delta(stats_before, heap0.stats());
+      replay_owed_.add_counters(delta);
+      pending_uniform_ += cost0;  // uniform across all lanes, lane 0 included
+      k.note_replayed_local_calls(static_cast<std::uint64_t>(deltas.size()) *
+                                  static_cast<std::uint64_t>(lanes - 1));
+      engine_.heap_fast_lanes += static_cast<std::uint64_t>(lanes - 1);
+      if (heap_memo_.size() < kHeapMemoCap) {
+        HeapCycleMemo m;
+        m.deltas.assign(deltas.begin(), deltas.end());
+        m.fp0 = fp0;
+        m.phys_fp = phys_before;
+        m.faulters = faulters;
+        m.cost0 = cost0;
+        m.delta = delta;
+        heap_memo_.push_back(std::move(m));
+      }
+      return;
+    }
+    lanes_.pending_ns[0] += cost0.ns();
+  } else {
+    lanes_.pending_ns[0] += simulate_heap_cycle(0, deltas, faulters).ns();
+    ++engine_.heap_slow_lanes;
   }
 
-  const mem::HeapStats stats_before = lanes_.heaps[0]->stats();
-
-  // Simulate lane 0 — representative if symmetric, first of the loop if not.
-  // Its cost lands in pending_uniform_ (replay path, where every lane pays
-  // it) or its own lane slot (divergent path) once we know which applies.
-  sim::TimeNs cost0{0};
-  {
-    kernel::Process& p = job_.lane(0);
-    for (const std::int64_t d : deltas) {
-      const auto r = k.sys_brk(p, d);
-      cost0 += r.cost;
-      if (d > 0) cost0 += k.heap_touch(p, faulters);
-    }
-  }
-  ++engine_.heap_slow_lanes;
-
-  // Replay is exact only if the cycle was state-neutral: the representative's
-  // heap returned to its pre-cycle fingerprint AND the shared physical
-  // allocator is back where it started. Then every remaining lane starts
-  // from the same heap scalars, moves the same byte counts through per-byte
-  // costs that never depend on which domain supplies the pages, and — when
-  // the cycle did engage the allocator — returns everything it drew, so the
-  // restored free maps serve every lane the same total. The replicated cost
-  // and counter deltas are therefore exact, not approximate.
-  const mem::HeapStats& stats_after = lanes_.heaps[0]->stats();
-  if (symmetric && lanes_.heaps[0]->state_fingerprint() == fp0 &&
-      phys_fingerprint(k.phys()) == phys_before) {
-    const mem::HeapStats delta = mem::HeapEngine::replay_delta(stats_before, stats_after);
-    for (int i = 1; i < lanes; ++i) {
-      lanes_.heaps[static_cast<std::size_t>(i)]->apply_replay_delta(delta);
-    }
-    pending_uniform_ += cost0;  // uniform across all lanes, lane 0 included
-    k.note_replayed_local_calls(static_cast<std::uint64_t>(deltas.size()) *
-                                static_cast<std::uint64_t>(lanes - 1));
-    engine_.heap_fast_lanes += static_cast<std::uint64_t>(lanes - 1);
-    if (heap_memo_.size() < kHeapMemoCap) {
-      HeapCycleMemo m;
-      m.deltas.assign(deltas.begin(), deltas.end());
-      m.fp0 = fp0;
-      m.phys_fp = phys_before;
-      m.faulters = faulters;
-      m.cost0 = cost0;
-      m.delta = delta;
-      heap_memo_.push_back(std::move(m));
-    }
-    return;
-  }
-
-  lanes_.pending_ns[0] += cost0.ns();
+  // Lanes diverge (or fast paths are off): simulate the rest one by one,
+  // then regroup — their heap states may now differ.
   lane_pending_dirty_ = true;
   engine_.heap_slow_lanes += static_cast<std::uint64_t>(lanes - 1);
   for (int i = 1; i < lanes; ++i) {
-    kernel::Process& p = job_.lane(i);
-    sim::TimeNs cost{0};
-    for (const std::int64_t d : deltas) {
-      const auto r = k.sys_brk(p, d);
-      cost += r.cost;
-      if (d > 0) cost += k.heap_touch(p, faulters);
-    }
-    lanes_.pending_ns[static_cast<std::size_t>(i)] += cost.ns();
+    lanes_.pending_ns[static_cast<std::size_t>(i)] +=
+        simulate_heap_cycle(i, deltas, faulters).ns();
   }
+  rebuild_classes();
 }
 
 void MpiWorld::synchronize(std::uint64_t sync_cores, sim::TimeNs comm, SyncKind kind) {
-  sim::TimeNs span = pending_uniform_;
-  // Plain int64 max reduction + fill over the SoA pending array — the
-  // vectorizable form of the old per-lane object scan. Skipped outright in
-  // the steady state where every cost landed in pending_uniform_ and the
-  // per-lane slots are still zero from the previous sync.
+  // The slowest lane's window: the uniform work plus the largest lane total
+  // (lane slot + class pending). While every lane slot is still zero from
+  // the previous sync, the maximum is over classes alone.
+  std::int64_t max_lane = 0;
   if (lane_pending_dirty_) {
-    std::int64_t max_lane = 0;
-    for (const std::int64_t lp : lanes_.pending_ns) max_lane = std::max(max_lane, lp);
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+      max_lane = std::max(max_lane,
+                          lanes_.pending_ns[i] + classes_[lanes_.class_of[i]].pending_ns);
+    }
     std::fill(lanes_.pending_ns.begin(), lanes_.pending_ns.end(), std::int64_t{0});
-    span += sim::TimeNs{max_lane};
     lane_pending_dirty_ = false;
+  } else {
+    for (const LaneClass& c : classes_) max_lane = std::max(max_lane, c.pending_ns);
   }
+  for (LaneClass& c : classes_) c.pending_ns = 0;
+  const sim::TimeNs span = pending_uniform_ + sim::TimeNs{max_lane};
   pending_uniform_ = sim::TimeNs{0};
 
   const NoiseWindow w = extremes_.sample(span, std::max<std::uint64_t>(sync_cores, 1),
@@ -452,6 +493,7 @@ void MpiWorld::send_shift(sim::Bytes bytes) {
 
 sim::TimeNs MpiWorld::finish() {
   synchronize(global_cores(), sim::TimeNs{0}, SyncKind::kFinish);
+  settle_replays();
   return clock_;
 }
 

@@ -48,7 +48,9 @@ class MKOS_THREAD_CONFINED("one campaign cell task") MpiWorld {
   [[nodiscard]] Job& job() { return job_; }
 
   /// Refresh cached per-lane bandwidths after the setup phase changed
-  /// placements. Called automatically by mpi_init().
+  /// placements, and regroup the lanes into classes. Called automatically
+  /// by mpi_init(). Lane heaps must change only through heap_cycle() in
+  /// between: a caller that runs brk on a lane directly calls this after.
   void refresh_lanes();
 
   /// Attach a fault/recovery manager: every synchronization window is closed
@@ -104,6 +106,8 @@ class MKOS_THREAD_CONFINED("one campaign cell task") MpiWorld {
 
   // -------------------------------------------------------------- results
   /// Drain pending work (final sync) and return the slowest rank's clock.
+  /// Also settles deferred heap replays: every lane's HeapStats are exact
+  /// after finish() (lane 0's always are).
   [[nodiscard]] sim::TimeNs finish();
   [[nodiscard]] sim::TimeNs elapsed() const { return clock_; }
 
@@ -153,6 +157,7 @@ class MKOS_THREAD_CONFINED("one campaign cell task") MpiWorld {
   }
   /// Disable (or re-enable) every fast path and cost cache; the slow paths
   /// must produce bit-identical clocks — benches and tests verify this.
+  /// Off, every lane is its own class, so the class loops walk lanes.
   void set_fast_paths(bool on);
 
   /// Where the slowest rank's time went (telemetry for reports/benches).
@@ -194,22 +199,36 @@ class MKOS_THREAD_CONFINED("one campaign cell task") MpiWorld {
   sim::Rng rng_;
   CollectiveModel coll_;
 
-  /// Structure-of-arrays lane state (DESIGN.md §13): the synchronize() max
-  /// scan, compute_bytes accumulation and heap_cycle replay loop each stride
-  /// one contiguous array instead of hopping between per-lane objects. The
-  /// heap pointers are cached Process::heap() results — lanes live for the
-  /// world's lifetime, so refresh_lanes() is the only invalidation point.
+  /// Lane classes (DESIGN.md §13): lanes with the same effective bandwidth
+  /// and the same heap state fingerprint cost the same for compute_bytes
+  /// and heap_cycle, so those price each class once. A class holds the work
+  /// every one of its lanes owes in the current window.
+  struct LaneClass {
+    double gbps = 0.0;
+    std::uint64_t heap_fp = 0;
+    std::int64_t pending_ns = 0;
+  };
+  std::vector<LaneClass> classes_;
+
+  /// Per-lane state as a structure of arrays. `pending_ns` holds work that
+  /// differs lane by lane (allocator churn, scaled compute, heap cycles
+  /// simulated one lane at a time); a lane's window total is its slot plus
+  /// its class's pending_ns. The heap pointers are cached Process::heap()
+  /// results — lanes live for the world's lifetime.
   struct LaneBlock {
     std::vector<double> gbps;              ///< effective bandwidth per lane
     std::vector<std::int64_t> pending_ns;  ///< accumulated work, raw ns
     std::vector<mem::HeapEngine*> heaps;
+    std::vector<std::uint32_t> class_of;   ///< index into classes_
 
     [[nodiscard]] std::size_t size() const { return pending_ns.size(); }
   };
   LaneBlock lanes_;
-  double min_lane_gbps_ = 0.0;
-  bool lanes_uniform_ = false;  ///< all lanes share one effective bandwidth
-  int avg_hops_ = 1;            ///< hop count of the average peer (hoisted)
+  /// Counter deltas of replayed heap cycles that lanes 1.. have not been
+  /// given yet (lane 0 gets each one at once). Replays happen only while
+  /// every lane shares one heap state, so one accumulator serves all lanes.
+  mem::HeapStats replay_owed_;
+  int avg_hops_ = 1;  ///< hop count of the average peer (hoisted)
 
   bool fast_paths_ = true;
   EngineCounters engine_;
@@ -265,10 +284,11 @@ class MKOS_THREAD_CONFINED("one campaign cell task") MpiWorld {
   CollectiveModel coll_cache_model_;  ///< model the cache was built against
   CostTable<sim::TimeNs> msg_cache_;
 
-  /// Whole-cycle memo for heap_cycle (DESIGN.md §13): a symmetric cycle that
-  /// proved state-neutral from fingerprint state (fp0, phys) replays its
-  /// recorded cost and counter deltas for every lane — including the former
-  /// representative — the next time the same deltas hit the same state.
+  /// Whole-cycle memo for heap_cycle (DESIGN.md §13): a cycle run while all
+  /// lanes shared one heap state that proved state-neutral from fingerprint
+  /// state (fp0, phys) replays its recorded cost and counter deltas for
+  /// every lane — lane 0 included — the next time the same deltas hit the
+  /// same state.
   struct HeapCycleMemo {
     std::vector<std::int64_t> deltas;
     std::uint64_t fp0 = 0;
@@ -283,11 +303,29 @@ class MKOS_THREAD_CONFINED("one campaign cell task") MpiWorld {
       std::span<const std::int64_t> deltas, std::uint64_t fp0,
       std::uint64_t phys_fp, int faulters) const;
 
+  /// Every lane streams `bytes_per_rank` at its class's bandwidth.
+  void stream_bytes(double bytes_per_rank);
+  /// Regroup lanes into classes from their current bandwidth and heap
+  /// fingerprint (one class per lane with fast paths off). Settles replay
+  /// deltas and moves class-pending work into the lane slots first.
+  void rebuild_classes();
+  /// Give lanes 1.. the replay deltas they are owed.
+  void settle_replays();
+  /// True when all classes share one bandwidth / one heap state.
+  [[nodiscard]] bool one_bandwidth() const;
+  [[nodiscard]] bool one_heap_state() const;
+  /// Every lane's bandwidth and heap fingerprint equal its class key
+  /// (MKOS_AUDIT: lane heaps changed behind the world's back otherwise).
+  [[nodiscard]] bool classes_match_lanes() const;
+  /// Run `deltas` through lane `lane`'s brk path; returns the lane's cost.
+  [[nodiscard]] sim::TimeNs simulate_heap_cycle(int lane, std::span<const std::int64_t> deltas,
+                                                int faulters);
+
   sim::TimeNs clock_{0};
   sim::TimeNs pending_uniform_{0};
   /// False while every lanes_.pending_ns entry is zero (the steady state in
-  /// which all cost lands in pending_uniform_); lets synchronize() skip the
-  /// per-lane max-and-clear scan entirely.
+  /// which all cost lands in pending_uniform_ or the classes); lets
+  /// synchronize() take its max over classes instead of lanes.
   bool lane_pending_dirty_ = false;
 
   sim::TimeNs noise_wait_{0};

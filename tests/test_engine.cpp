@@ -1,12 +1,13 @@
 // Unit tests: the hot-path sampling engine — truncated-moment closed forms,
-// Gamma/normal batched sums, inverse-CDF maxima, the symmetric-lane heap
-// replay, cost caches, and the determinism contract that fast and slow
+// Gamma/normal batched sums, inverse-CDF maxima, lane classes and the heap
+// cycle replay, cost caches, and the determinism contract that fast and slow
 // paths (and serial vs pooled execution) produce byte-identical results.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 
 #include "core/campaign.hpp"
 #include "core/config.hpp"
@@ -271,14 +272,19 @@ struct WorldOutcome {
   MpiWorld::PhaseBreakdown breakdown;
   std::vector<mem::HeapStats> heap;
   MpiWorld::EngineCounters engine;
+  std::size_t bandwidths = 0;  ///< distinct lane bandwidths the world starts with
 };
 
-WorldOutcome outcome_for(kernel::OsKind os, bool fast_paths) {
+WorldOutcome outcome_for(kernel::OsKind os, bool fast_paths, void (*setup)(Job&) = nullptr) {
   const Machine m = SystemConfig::for_os(os).machine(4);
   Job job{m, JobSpec{4, 8, 1}, 1};
+  if (setup != nullptr) setup(job);
   MpiWorld world{job, 1234};
   world.set_fast_paths(fast_paths);
   WorldOutcome out;
+  std::set<double> gbps;
+  for (int i = 0; i < job.lane_count(); ++i) gbps.insert(job.lane_effective_gbps(i));
+  out.bandwidths = gbps.size();
   out.clock = run_script(world);
   out.breakdown = world.breakdown();
   for (int i = 0; i < job.lane_count(); ++i) out.heap.push_back(job.lane(i).heap()->stats());
@@ -286,11 +292,8 @@ WorldOutcome outcome_for(kernel::OsKind os, bool fast_paths) {
   return out;
 }
 
-void expect_equivalent(kernel::OsKind os) {
-  const WorldOutcome fast = outcome_for(os, true);
-  const WorldOutcome slow = outcome_for(os, false);
-
-  // Bit-identical outputs: global clock, phase split, per-lane heap stats.
+/// Bit-identical outputs: global clock, phase split, per-lane heap stats.
+void expect_identical(const WorldOutcome& fast, const WorldOutcome& slow) {
   EXPECT_EQ(fast.clock.ns(), slow.clock.ns());
   EXPECT_EQ(fast.breakdown.compute.ns(), slow.breakdown.compute.ns());
   EXPECT_EQ(fast.breakdown.noise.ns(), slow.breakdown.noise.ns());
@@ -306,6 +309,12 @@ void expect_equivalent(kernel::OsKind os) {
     EXPECT_EQ(fast.heap[i].faults, slow.heap[i].faults) << "lane " << i;
     EXPECT_EQ(fast.heap[i].zeroed, slow.heap[i].zeroed) << "lane " << i;
   }
+}
+
+void expect_equivalent(kernel::OsKind os) {
+  const WorldOutcome fast = outcome_for(os, true);
+  const WorldOutcome slow = outcome_for(os, false);
+  expect_identical(fast, slow);
 
   // The fast world actually took the fast paths; the slow one never did.
   EXPECT_GT(fast.engine.heap_fast_lanes, 0u);
@@ -320,6 +329,21 @@ void expect_equivalent(kernel::OsKind os) {
   EXPECT_GT(fast.engine.heap_slow_lanes, 0u);
 }
 
+/// Every Linux lane prefers the first MCDRAM domain and first-touches its
+/// working set after the previous lane: the early lanes fit in that domain,
+/// the later ones spill into DDR4 — more than one bandwidth class.
+void spill_mcdram(Job& job) {
+  kernel::Kernel& k = job.kernel();
+  const hw::DomainId hbm0 = job.node().topo().domains_of_kind(hw::MemKind::kMcdram).front();
+  for (int i = 0; i < job.lane_count(); ++i) {
+    kernel::Process& p = job.lane(i);
+    const auto r =
+        k.sys_mmap(p, 1536 * MiB, mem::VmaKind::kAnon, mem::MemPolicy::preferred(hbm0));
+    ASSERT_EQ(r.err, kernel::kOk);
+    (void)k.touch(p, *r.vma, 1536 * MiB, 1);
+  }
+}
+
 TEST(FastPaths, LinuxWorldBitIdenticalToSlowPaths) {
   expect_equivalent(kernel::OsKind::kLinux);
 }
@@ -328,12 +352,64 @@ TEST(FastPaths, McKernelWorldBitIdenticalToSlowPaths) {
   expect_equivalent(kernel::OsKind::kMcKernel);
 }
 
+TEST(FastPaths, MosWorldBitIdenticalToSlowPaths) {
+  expect_equivalent(kernel::OsKind::kMos);
+}
+
+TEST(FastPaths, SplitBandwidthClassesBitIdenticalToSlowPaths) {
+  const WorldOutcome fast = outcome_for(kernel::OsKind::kLinux, true, spill_mcdram);
+  const WorldOutcome slow = outcome_for(kernel::OsKind::kLinux, false, spill_mcdram);
+  ASSERT_GE(fast.bandwidths, 2u);
+  expect_identical(fast, slow);
+  // Compute was priced per class, and heap cycles still replayed across
+  // lanes of different bandwidth classes (they share one heap state).
+  EXPECT_GT(fast.engine.compute_lane_loops, 0u);
+  EXPECT_GT(fast.engine.heap_fast_lanes, 0u);
+  EXPECT_EQ(fast.engine.heap_fast_lanes + fast.engine.heap_slow_lanes,
+            slow.engine.heap_slow_lanes);
+}
+
+/// Linux lanes whose breaks differ but were never touched: the same (zero)
+/// heap residency, hence one bandwidth, but a different heap state per lane.
+void stagger_breaks(Job& job) {
+  for (int i = 0; i < job.lane_count(); ++i) {
+    (void)job.kernel().sys_brk(job.lane(i), static_cast<std::int64_t>(i) * 3 * MiB / 2);
+  }
+}
+
+TEST(FastPaths, DivergentHeapStatesAreNeverReplayed) {
+  const WorldOutcome fast = outcome_for(kernel::OsKind::kLinux, true, stagger_breaks);
+  const WorldOutcome slow = outcome_for(kernel::OsKind::kLinux, false, stagger_breaks);
+  ASSERT_EQ(fast.bandwidths, 1u);
+  expect_identical(fast, slow);
+  // The lanes' heap states never converge, so no cycle may be replayed.
+  EXPECT_EQ(fast.engine.heap_fast_lanes, 0u);
+  EXPECT_GT(fast.engine.compute_uniform_fast, 0u);
+}
+
+TEST(LaneClasses, RegroupingKeepsPendingWork) {
+  // Work is order-free within a window: per-class compute pending when a
+  // state-changing heap cycle regroups the lanes must survive the regroup.
+  const Machine m = SystemConfig::linux_default().machine(4);
+  const std::vector<std::int64_t> net_growth{4 * static_cast<std::int64_t>(MiB)};
+  auto run = [&](bool compute_first) {
+    Job job{m, JobSpec{4, 8, 1}, 1};
+    spill_mcdram(job);
+    MpiWorld world{job, 77};
+    if (compute_first) world.compute_bytes(64 * MiB);
+    world.heap_cycle(net_growth);
+    if (!compute_first) world.compute_bytes(64 * MiB);
+    world.allreduce(8);
+    EXPECT_GT(world.engine_counters().compute_lane_loops, 0u);
+    return world.finish().ns();
+  };
+  EXPECT_EQ(run(true), run(false));
+}
+
 TEST(FastPaths, FreshWorldBandwidthSentinelNeverLeaks) {
-  // Job guarantees >= 1 lane, so refresh_lanes' zero-lane branch is a
-  // defensive default; what IS reachable is a fresh world with nothing
-  // resident, where every lane prices at the DDR4 fallback. The min-scan
-  // sentinel (1e30) must never survive into compute costs: streamed bytes
-  // take real (positive) time on both the uniform and per-lane paths.
+  // A fresh world with nothing resident prices every lane at the DDR4
+  // fallback: streamed bytes must take real (positive) time, and the same
+  // time on the uniform and per-lane paths.
   const Machine m = SystemConfig::linux_default().machine(1);
   Job job{m, JobSpec{1, 8, 1}, 1};
   MpiWorld world{job, 99};

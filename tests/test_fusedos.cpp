@@ -49,7 +49,7 @@ TEST_F(FusedOsFixture, StaticMappingBacksUpfrontWithLargePages) {
   auto r = k.sys_mmap(p, 64 * MiB, mem::VmaKind::kAnon, mem::MemPolicy::standard());
   ASSERT_EQ(r.err, kOk);
   EXPECT_EQ(r.vma->backed(), 64 * MiB);
-  EXPECT_EQ(r.vma->placement.bytes_with_page(mem::PageSize::k4K), 0u);
+  EXPECT_EQ(r.vma->placement().bytes_with_page(mem::PageSize::k4K), 0u);
   // ...but the call itself ran in the CL proxy.
   EXPECT_GT(r.cost.ns(), k.offload_cost(128).ns() - 1);
 }

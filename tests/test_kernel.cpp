@@ -96,9 +96,9 @@ TEST_F(KernelFixture, LwkMmapIsBackedUpfrontInMcdram) {
   EXPECT_EQ(r.vma->backed(), 64 * MiB);
   EXPECT_FALSE(r.vma->demand_paged);
   EXPECT_DOUBLE_EQ(
-      r.vma->placement.fraction_in_kind(k.topo(), hw::MemKind::kMcdram), 1.0);
+      r.vma->placement().fraction_in_kind(k.topo(), hw::MemKind::kMcdram), 1.0);
   // Large pages, never 4 KiB.
-  EXPECT_EQ(r.vma->placement.bytes_with_page(mem::PageSize::k4K), 0u);
+  EXPECT_EQ(r.vma->placement().bytes_with_page(mem::PageSize::k4K), 0u);
 }
 
 TEST_F(KernelFixture, McKernelOversizedMappingFallsBackToDemandPaging) {
@@ -111,7 +111,7 @@ TEST_F(KernelFixture, McKernelOversizedMappingFallsBackToDemandPaging) {
   const auto t = k.touch(p, *r.vma, 20 * GiB, 1);
   EXPECT_EQ(t.newly_backed, 20 * GiB);
   // Touch-time fill packs MCDRAM before spilling.
-  EXPECT_GT(r.vma->placement.bytes_in_kind(k.topo(), hw::MemKind::kMcdram), 14 * GiB);
+  EXPECT_GT(r.vma->placement().bytes_in_kind(k.topo(), hw::MemKind::kMcdram), 14 * GiB);
 }
 
 TEST_F(KernelFixture, MosRigidAllocationReturnsEnomem) {

@@ -131,11 +131,14 @@ TEST(AddressSpace, FindLocatesContainingVma) {
 TEST(AddressSpace, UnmapReturnsVmaWithExtents) {
   AddressSpace as;
   Vma& v = as.map(1 * MiB, VmaKind::kAnon, MemPolicy::standard());
-  v.extents.push_back(Extent{0, 0, 1 * MiB});
-  v.placement.add(0, PageSize::k4K, 1 * MiB);
+  Placement backing;
+  backing.add(0, PageSize::k4K, 1 * MiB);
+  as.attach(v, backing, {Extent{0, 0, 1 * MiB}});
+  EXPECT_EQ(as.resident_bytes(), 1 * MiB);
   auto out = as.unmap(v.start);
   ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(out->extents.size(), 1u);
+  EXPECT_EQ(out->extents().size(), 1u);
+  EXPECT_EQ(as.resident_bytes(), 0u);
   EXPECT_EQ(as.vma_count(), 0u);
   EXPECT_FALSE(as.unmap(0x1234).has_value());
 }
@@ -343,11 +346,11 @@ TEST_F(PlacementTest, TouchDefaultPolicyLandsInDdrNotMcdram) {
   req.bytes = 64 * MiB;
   req.home_quadrant = 2;
   (void)place_linux(topo_, cost_, req, vma, true);
-  const TouchResult t = touch(phys_, topo_, cost_, vma, 64 * MiB, 2, 1);
+  const TouchResult t = touch(phys_, topo_, cost_, as, vma, 64 * MiB, 2, 1);
   EXPECT_EQ(t.newly_backed, 64 * MiB);
   EXPECT_GT(t.faults, 0u);
   // Linux first-touch walks DDR first in SNC-4 — the paper's CCS-QCD story.
-  EXPECT_DOUBLE_EQ(vma.placement.fraction_in_kind(topo_, hw::MemKind::kMcdram), 0.0);
+  EXPECT_DOUBLE_EQ(vma.placement().fraction_in_kind(topo_, hw::MemKind::kMcdram), 0.0);
 }
 
 TEST_F(PlacementTest, TouchBindPolicyStaysInMcdram) {
@@ -357,9 +360,9 @@ TEST_F(PlacementTest, TouchBindPolicyStaysInMcdram) {
   PlaceRequest req;
   req.bytes = 64 * MiB;
   (void)place_linux(topo_, cost_, req, vma, true);
-  const TouchResult t = touch(phys_, topo_, cost_, vma, 64 * MiB, 0, 1);
+  const TouchResult t = touch(phys_, topo_, cost_, as, vma, 64 * MiB, 0, 1);
   EXPECT_EQ(t.newly_backed, 64 * MiB);
-  EXPECT_DOUBLE_EQ(vma.placement.fraction_in_kind(topo_, hw::MemKind::kMcdram), 1.0);
+  EXPECT_DOUBLE_EQ(vma.placement().fraction_in_kind(topo_, hw::MemKind::kMcdram), 1.0);
 }
 
 TEST_F(PlacementTest, TouchLwkOrderFillsMcdramFirst) {
@@ -368,9 +371,9 @@ TEST_F(PlacementTest, TouchLwkOrderFillsMcdramFirst) {
   vma.demand_paged = true;
   vma.touch_page = PageSize::k2M;
   vma.touch_lwk_order = true;
-  const TouchResult t = touch(phys_, topo_, cost_, vma, 64 * MiB, 0, 1);
+  const TouchResult t = touch(phys_, topo_, cost_, as, vma, 64 * MiB, 0, 1);
   EXPECT_EQ(t.newly_backed, 64 * MiB);
-  EXPECT_DOUBLE_EQ(vma.placement.fraction_in_kind(topo_, hw::MemKind::kMcdram), 1.0);
+  EXPECT_DOUBLE_EQ(vma.placement().fraction_in_kind(topo_, hw::MemKind::kMcdram), 1.0);
 }
 
 TEST_F(PlacementTest, ContentionMultipliesFaultCost) {
@@ -381,8 +384,8 @@ TEST_F(PlacementTest, ContentionMultipliesFaultCost) {
   req.bytes = 16 * MiB;
   (void)place_linux(topo_, cost_, req, a, false);  // force 4K
   (void)place_linux(topo_, cost_, req, b, false);
-  const TouchResult alone = touch(phys_, topo_, cost_, a, 16 * MiB, 0, 1);
-  const TouchResult crowded = touch(phys_, topo_, cost_, b, 16 * MiB, 0, 64);
+  const TouchResult alone = touch(phys_, topo_, cost_, as, a, 16 * MiB, 0, 1);
+  const TouchResult crowded = touch(phys_, topo_, cost_, as, b, 16 * MiB, 0, 64);
   EXPECT_GT(crowded.cost.ns(), alone.cost.ns());
 }
 

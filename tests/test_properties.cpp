@@ -6,8 +6,10 @@
 #include "compat/ltp.hpp"
 #include "core/config.hpp"
 #include "hw/knl.hpp"
+#include "mem/address_space.hpp"
 #include "mem/heap.hpp"
 #include "mem/phys_allocator.hpp"
+#include "obs/snapshots.hpp"
 #include "runtime/simmpi.hpp"
 #include "workloads/app.hpp"
 
@@ -186,6 +188,109 @@ TEST_P(PlacementProperty, PhysicalAccountingBalances) {
 
 INSTANTIATE_TEST_SUITE_P(AllKernels, PlacementProperty,
                          ::testing::Values(0, 1, 2));  // Linux, McKernel, mOS
+
+// ---------------------------------------------------- residency totals
+
+class ResidencyProperty : public ::testing::TestWithParam<int> {};
+
+/// An address space's residency totals, recomputed by walking its VMAs.
+struct WalkedResidency {
+  mem::Residency all;
+  mem::Residency app;  ///< every VMA but kShm
+  std::uint64_t faults = 0;
+};
+
+WalkedResidency walk(const mem::AddressSpace& as) {
+  WalkedResidency w;
+  as.for_each([&](const mem::Vma& v) {
+    w.all.add(v.placement());
+    if (v.kind != mem::VmaKind::kShm) w.app.add(v.placement());
+    w.faults += v.fault_count();
+  });
+  return w;
+}
+
+// Invariant: after any mix of map / touch / madvise / munmap / brk, every
+// address space's running totals equal a fresh walk of its VMAs, and
+// record_job's mem.* counters equal that walk summed over the lanes.
+TEST_P(ResidencyProperty, TotalsEqualFreshWalk) {
+  const auto os = static_cast<kernel::OsKind>(GetParam());
+  const auto machine = core::SystemConfig::for_os(os).machine(1);
+  runtime::Job job{machine, runtime::JobSpec{1, 8, 1}, 91};
+  kernel::Kernel& k = job.kernel();
+  sim::Rng rng{static_cast<std::uint64_t>(GetParam()) + 17};
+
+  std::vector<std::pair<int, Bytes>> mapped;  // (lane, start)
+  for (int step = 0; step < 300; ++step) {
+    const int lane = static_cast<int>(rng.uniform_index(8));
+    kernel::Process& p = job.lane(lane);
+    const double op = rng.next_double();
+    if (mapped.empty() || op < 0.35) {
+      const Bytes len = (1 + rng.uniform_index(48)) * MiB;
+      const auto kind = rng.next_double() < 0.25 ? mem::VmaKind::kShm : mem::VmaKind::kAnon;
+      auto r = k.sys_mmap(p, len, kind, mem::MemPolicy::standard());
+      if (r.err == 0 && r.vma != nullptr) {
+        (void)k.touch(p, *r.vma, rng.uniform_index(len + 1), 1);  // partial first touch
+        mapped.emplace_back(lane, r.vma->start);
+      }
+    } else if (op < 0.8) {
+      const auto idx = rng.uniform_index(mapped.size());
+      kernel::Process& owner = job.lane(mapped[idx].first);
+      mem::Vma* v = owner.address_space().find(mapped[idx].second);
+      ASSERT_NE(v, nullptr);
+      if (op < 0.5) {
+        (void)k.touch(owner, *v, v->length, 1);
+      } else if (op < 0.6) {
+        (void)k.sys_madvise(owner, v->start, kernel::Kernel::Madvise::kDontNeed);
+      } else {
+        (void)k.sys_munmap(owner, mapped[idx].second);
+        mapped[idx] = mapped.back();
+        mapped.pop_back();
+      }
+    } else {
+      const auto mib = static_cast<std::int64_t>(1 + rng.uniform_index(16)) *
+                       static_cast<std::int64_t>(MiB);
+      (void)k.sys_brk(p, rng.next_double() < 0.6 ? mib : -mib);
+      (void)k.heap_touch(p, 1);
+    }
+    const mem::AddressSpace& as = p.address_space();
+    const WalkedResidency w = walk(as);
+    ASSERT_TRUE(w.all == as.residency()) << "step " << step;
+    ASSERT_TRUE(w.app == as.app_residency()) << "step " << step;
+    ASSERT_EQ(w.faults, as.total_faults()) << "step " << step;
+  }
+
+  const hw::NodeTopology& topo = job.node().topo();
+  Bytes by_page[3] = {0, 0, 0};
+  Bytes mcdram = 0;
+  Bytes ddr4 = 0;
+  std::uint64_t faults = 0;
+  std::uint64_t vmas = 0;
+  for (int lane = 0; lane < job.lane_count(); ++lane) {
+    job.lane(lane).address_space().for_each([&](const mem::Vma& v) {
+      by_page[0] += v.placement().bytes_with_page(mem::PageSize::k4K);
+      by_page[1] += v.placement().bytes_with_page(mem::PageSize::k2M);
+      by_page[2] += v.placement().bytes_with_page(mem::PageSize::k1G);
+      mcdram += v.placement().bytes_in_kind(topo, hw::MemKind::kMcdram);
+      ddr4 += v.placement().bytes_in_kind(topo, hw::MemKind::kDdr4);
+      faults += v.fault_count();
+      ++vmas;
+    });
+  }
+  obs::RunLedger ledger;
+  obs::record_job(ledger, job);
+  EXPECT_GT(mcdram + ddr4, 0u);
+  EXPECT_EQ(ledger.counter("mem.bytes_4k"), by_page[0]);
+  EXPECT_EQ(ledger.counter("mem.bytes_2m"), by_page[1]);
+  EXPECT_EQ(ledger.counter("mem.bytes_1g"), by_page[2]);
+  EXPECT_EQ(ledger.counter("mem.bytes_mcdram"), mcdram);
+  EXPECT_EQ(ledger.counter("mem.bytes_ddr4"), ddr4);
+  EXPECT_EQ(ledger.counter("mem.faults"), faults);
+  EXPECT_EQ(ledger.counter("mem.vmas"), vmas);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKernels, ResidencyProperty,
+                         ::testing::Values(0, 1, 2, 3));  // Linux, McKernel, mOS, FusedOS
 
 // --------------------------------------------- noise monotonicity property
 

@@ -58,6 +58,33 @@ TEST(Job, EffectiveBandwidthReflectsPlacement) {
   EXPECT_LT(lin_job.lane_fraction_in(0, hw::MemKind::kMcdram), 0.01);
 }
 
+TEST(Job, LinuxHeapCountsInMcdramFraction) {
+  // A Linux lane's heap lives in the heap engine's own placement record,
+  // not in a VMA: the MCDRAM fraction must still count its faulted-in bytes.
+  const Machine m = make_machine(kernel::OsKind::kLinux, 1);
+  Job job{m, JobSpec{1, 8, 1}, 1};
+  kernel::Kernel& k = job.kernel();
+  kernel::Process& p = job.lane(0);
+  const auto& hbm = job.node().topo().domains_of_kind(hw::MemKind::kMcdram);
+  ASSERT_EQ(k.sys_set_mempolicy(p, mem::MemPolicy::bind(hbm)).err, kernel::kOk);
+  (void)k.sys_brk(p, static_cast<std::int64_t>(64 * MiB));
+  (void)k.heap_touch(p, 1);
+  ASSERT_EQ(p.heap()->placement_or_null()->bytes_in_kind(job.node().topo(),
+                                                         hw::MemKind::kMcdram),
+            64 * MiB);
+  EXPECT_DOUBLE_EQ(job.lane_fraction_in(0, hw::MemKind::kMcdram), 1.0);
+
+  // Add an equal DDR4-bound working set: half of the lane's resident bytes
+  // are then in MCDRAM.
+  const auto& ddr = job.node().topo().domains_of_kind(hw::MemKind::kDdr4);
+  auto r = k.sys_mmap(p, 64 * MiB, mem::VmaKind::kAnon, mem::MemPolicy::bind(ddr));
+  ASSERT_EQ(r.err, kernel::kOk);
+  (void)k.touch(p, *r.vma, 64 * MiB, 1);
+  ASSERT_EQ(r.vma->placement().bytes_in_kind(job.node().topo(), hw::MemKind::kDdr4), 64 * MiB);
+  EXPECT_DOUBLE_EQ(job.lane_fraction_in(0, hw::MemKind::kMcdram), 0.5);
+  EXPECT_DOUBLE_EQ(job.lane_fraction_in(0, hw::MemKind::kDdr4), 0.5);
+}
+
 // --------------------------------------------------------- NoiseExtremes
 
 TEST(NoiseExtremes, MaxGrowsWithCoreCount) {
