@@ -30,10 +30,11 @@ struct RepOutcome {
   obs::RunLedger ledger;
 };
 
-/// One repetition of a cell with positionally derived seeds. Thread-safe as
-/// long as `app` is not shared across concurrent calls.
-RepOutcome run_once(workloads::App& app, const SystemConfig& config, int nodes,
-                    std::uint64_t cell_fp, int rep) {
+/// One repetition of a cell with positionally derived seeds; its telemetry
+/// is recorded into `ledger`. Thread-safe as long as neither `app` nor
+/// `ledger` is shared across concurrent calls.
+workloads::AppResult run_once(workloads::App& app, const SystemConfig& config, int nodes,
+                              std::uint64_t cell_fp, int rep, obs::RunLedger& ledger) {
   // Fresh machine per repetition: heap state, placements and partition
   // fragmentation must not leak across runs.
   const runtime::Machine machine = config.machine(nodes);
@@ -58,17 +59,16 @@ RepOutcome run_once(workloads::App& app, const SystemConfig& config, int nodes,
   runtime::MpiWorld world(job, rep_seed(cell_fp, rep, /*stream=*/1));
   if (resil) world.attach_resilience(&*resil);
   if (alloc_model) world.attach_alloc(&*alloc_model);
-  RepOutcome out;
-  out.result = app.run(job, world);
+  workloads::AppResult result = app.run(job, world);
   if (alloc_model) alloc_model->drain_lanes();
   // Snapshot after the run so heap/kernel/world counters reflect the whole
-  // repetition; per-rep ledgers are merged positionally by the callers.
-  obs::record_world(out.ledger, world);
-  obs::record_job(out.ledger, job);
-  if (resil) obs::record_faults(out.ledger, resil->counters());
-  if (alloc_model) obs::record_alloc(out.ledger, alloc_model->counters());
-  out.ledger.observe("run.fom", out.result.fom);
-  return out;
+  // repetition.
+  obs::record_world(ledger, world);
+  obs::record_job(ledger, job);
+  if (resil) obs::record_faults(ledger, resil->counters());
+  if (alloc_model) obs::record_alloc(ledger, alloc_model->counters());
+  ledger.observe("run.fom", result.fom);
+  return result;
 }
 
 std::vector<int> capped_node_counts(const workloads::App& app, int max_nodes) {
@@ -118,12 +118,18 @@ RunStats run_app(workloads::App& app, const SystemConfig& config, int nodes, int
                  std::uint64_t seed) {
   MKOS_EXPECTS(reps >= 1);
   const std::uint64_t fp = cell_fingerprint(app.name(), config, nodes, seed);
-  std::vector<RepOutcome> outcomes;
-  outcomes.reserve(static_cast<std::size_t>(reps));
+  // Every rep records straight into the cell's ledger. That equals the
+  // pooled overloads' positional merge of per-rep ledgers: counters add,
+  // gauges overwrite, summaries and histograms accumulate in rep order,
+  // and a name first recorded by rep k lands after rep 0..k-1's names —
+  // exactly where merging rep k's ledger would append it.
+  RunStats rs;
   for (int rep = 0; rep < reps; ++rep) {
-    outcomes.push_back(run_once(app, config, nodes, fp, rep));
+    const workloads::AppResult r = run_once(app, config, nodes, fp, rep, rs.ledger);
+    rs.fom.add(r.fom);
+    rs.unit = r.unit;
   }
-  return collect(outcomes);
+  return rs;
 }
 
 RunStats run_app(std::string_view app_name, const SystemConfig& config, int nodes,
@@ -136,7 +142,8 @@ RunStats run_app(std::string_view app_name, const SystemConfig& config, int node
     // Own App per task: proxies keep per-run scratch, and sharing one across
     // threads would race setup() against run().
     const auto app = registry_app(app_name);
-    outcomes[rep] = run_once(*app, config, nodes, fp, static_cast<int>(rep));
+    RepOutcome& out = outcomes[rep];
+    out.result = run_once(*app, config, nodes, fp, static_cast<int>(rep), out.ledger);
   });
   return collect(outcomes);
 }
@@ -172,7 +179,8 @@ std::vector<ScalingPoint> scaling_sweep(std::string_view app_name,
                       const std::uint64_t fp =
                           cell_fingerprint(app_name, config, counts[ci], seed);
                       const auto app = registry_app(app_name);
-                      outcomes[ci][rep] = run_once(*app, config, counts[ci], fp, rep);
+                      RepOutcome& out = outcomes[ci][static_cast<std::size_t>(rep)];
+                      out.result = run_once(*app, config, counts[ci], fp, rep, out.ledger);
                     });
 
   std::vector<ScalingPoint> out;

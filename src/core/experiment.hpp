@@ -26,8 +26,8 @@ namespace mkos::core {
 struct RunStats {
   sim::Summary fom;
   std::string unit;
-  /// Telemetry of the cell's repetitions, merged in rep order (positional,
-  /// so serial and pooled runs carry identical ledgers).
+  /// Telemetry of the cell's repetitions, accumulated in rep order
+  /// (positional, so serial and pooled runs carry identical ledgers).
   obs::RunLedger ledger;
 
   [[nodiscard]] double median() const { return fom.median(); }

@@ -67,8 +67,8 @@ MmapRet FusedOs::sys_mmap(Process& p, sim::Bytes length, mem::VmaKind kind,
   req.prefer_mcdram = true;
   req.use_large_pages = true;  // CNK maps statically with big TLB entries
   vma.policy = req.policy;
-  const mem::PlaceResult pr = mem::place_lwk(phys_, topo_, mem_costs_, req);
-  p.address_space().attach(vma, pr.placement, pr.extents);
+  mem::PlaceResult pr = mem::place_lwk(phys_, topo_, mem_costs_, req);
+  p.address_space().attach(vma, pr.placement, std::move(pr.extents));
   // The mapping work itself executed in the CL proxy.
   return {pr.err, offload_cost(128) + pr.map_cost, &vma};
 }

@@ -213,8 +213,9 @@ SyscallRet Kernel::sys_fork(Process& p) {
 }
 
 SyscallRet Kernel::sys_clone_thread(Process& p, hw::CoreId core) {
+  (void)core;  // binding is not modelled: the pricing is core-independent
   count_call(Disposition::kLocal);
-  p.add_thread(core);
+  p.add_thread();
   return {kOk, local_syscall_cost() + sim::microseconds(12)};
 }
 

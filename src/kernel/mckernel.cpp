@@ -129,8 +129,8 @@ MmapRet McKernel::sys_mmap(Process& p, sim::Bytes length, mem::VmaKind kind,
     return {kOk, local_syscall_cost() + mem_costs_.pte_per_page, &vma};
   }
 
-  const mem::PlaceResult pr = mem::place_lwk(phys_, topo_, mem_costs_, req);
-  p.address_space().attach(vma, pr.placement, pr.extents);
+  mem::PlaceResult pr = mem::place_lwk(phys_, topo_, mem_costs_, req);
+  p.address_space().attach(vma, pr.placement, std::move(pr.extents));
   if (pr.deferred > 0) {
     vma.demand_paged = true;
     vma.touch_page = mem::PageSize::k2M;  // fallback still uses large granules

@@ -1,5 +1,7 @@
 #include "kernel/mos.hpp"
 
+#include <optional>
+
 namespace mkos::kernel {
 
 namespace {
@@ -92,15 +94,16 @@ MmapRet Mos::sys_mmap(Process& p, sim::Bytes length, mem::VmaKind kind,
   }
   vma.policy = req.policy;
 
-  const mem::PlaceResult pr = mem::place_lwk(phys_, topo_, mem_costs_, req);
-  p.address_space().attach(vma, pr.placement, pr.extents);
-  p.add_mcdram_used(pr.mcdram_taken);
-  // Rigid allocation: whatever could not be physically backed is an error.
+  mem::PlaceResult pr = mem::place_lwk(phys_, topo_, mem_costs_, req);
+  p.address_space().attach(vma, pr.placement, std::move(pr.extents));
+  // Rigid allocation: whatever could not be physically backed is an error,
+  // and the partial backing goes back to the domains uncharged.
   if (pr.backed < sim::align_up(length, 4 * sim::KiB)) {
-    p.address_space().unmap(vma.start);
-    for (const auto& e : pr.extents) phys_.domain(e.domain).free(e);
+    const std::optional<mem::Vma> dead = p.address_space().unmap(vma.start);
+    for (const auto& e : dead->extents()) phys_.domain(e.domain).free(e);
     return {kENOMEM, local_syscall_cost() + pr.map_cost, nullptr};
   }
+  p.add_mcdram_used(pr.mcdram_taken);
   return {kOk, local_syscall_cost() + pr.map_cost, &vma};
 }
 

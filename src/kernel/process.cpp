@@ -10,11 +10,6 @@ Process::Process(Pid pid, int home_quadrant)
   MKOS_EXPECTS(home_quadrant >= 0);
 }
 
-Thread& Process::add_thread(hw::CoreId core) {
-  threads_.push_back(Thread{next_tid_++, core});
-  return threads_.back();
-}
-
 int Process::open_fd(std::string path, bool proxy_managed) {
   const int fd = next_fd_++;
   fds_.emplace(fd, Fd{std::move(path), proxy_managed});

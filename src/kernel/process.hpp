@@ -1,5 +1,5 @@
 #pragma once
-// Simulated processes and threads.
+// Simulated processes.
 //
 // A Process owns an address space, a heap engine supplied by its kernel, a
 // file-descriptor table (which, on McKernel, is *not* authoritative — the
@@ -10,7 +10,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "hw/topology.hpp"
 #include "mem/address_space.hpp"
@@ -19,12 +18,6 @@
 namespace mkos::kernel {
 
 using Pid = int;
-using Tid = int;
-
-struct Thread {
-  Tid tid = 0;
-  hw::CoreId core = -1;  ///< bound core, -1 if unbound
-};
 
 class Process {
  public:
@@ -43,8 +36,10 @@ class Process {
   [[nodiscard]] const mem::MemPolicy& mempolicy() const { return policy_; }
   void set_mempolicy(mem::MemPolicy p) { policy_ = std::move(p); }
 
-  Thread& add_thread(hw::CoreId core);
-  [[nodiscard]] const std::vector<Thread>& threads() const { return threads_; }
+  /// Threads are counted, not recorded: no model reads a thread's id or
+  /// core binding, so a process keeps no per-thread state.
+  void add_thread() { ++thread_count_; }
+  [[nodiscard]] int thread_count() const { return thread_count_; }
 
   /// File descriptors. `proxy_managed` marks descriptors whose state lives
   /// in the Linux proxy (McKernel: "The actual set of open files ... are
@@ -72,10 +67,9 @@ class Process {
   mem::AddressSpace as_;
   std::unique_ptr<mem::HeapEngine> heap_;
   mem::MemPolicy policy_;
-  std::vector<Thread> threads_;
+  int thread_count_ = 0;
   std::map<int, Fd> fds_;
   int next_fd_ = 3;  // 0/1/2 reserved
-  Tid next_tid_ = 1;
   sim::Bytes mcdram_quota_ = ~sim::Bytes{0};
   sim::Bytes mcdram_used_ = 0;
 };

@@ -84,7 +84,7 @@ std::optional<Vma> AddressSpace::unmap(sim::Bytes start) {
   return out;
 }
 
-void AddressSpace::attach(Vma& vma, const Placement& placement, std::vector<Extent> extents) {
+void AddressSpace::attach(Vma& vma, const Placement& placement, ExtentList extents) {
   MKOS_EXPECTS(vma.backed() == 0 && vma.extents_.empty());
   vma.placement_ = placement;
   vma.extents_ = std::move(extents);
@@ -106,12 +106,11 @@ void AddressSpace::note_faults(Vma& vma, std::uint64_t faults) {
   MKOS_AUDIT(totals_match_walk());
 }
 
-std::vector<Extent> AddressSpace::release(Vma& vma) {
+ExtentList AddressSpace::release(Vma& vma) {
   resident_.remove(vma.placement_);
   if (vma.kind != VmaKind::kShm) app_resident_.remove(vma.placement_);
   vma.placement_.clear();
-  std::vector<Extent> out = std::move(vma.extents_);
-  vma.extents_.clear();
+  ExtentList out = std::move(vma.extents_);  // leaves vma.extents_ empty
   MKOS_AUDIT(totals_match_walk());
   return out;
 }

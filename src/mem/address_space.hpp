@@ -10,7 +10,6 @@
 #include <map>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "hw/topology.hpp"
 #include "mem/numa_policy.hpp"
@@ -41,8 +40,8 @@ enum class VmaKind : std::uint8_t { kText, kBss, kHeap, kStack, kAnon, kShm, kFi
 /// LWK heap carries one, and per-rep set-up creates them by the million.
 class Placement {
  public:
-  /// Domain ids a record can hold: SNC-4 KNL has 8 NUMA domains.
-  static constexpr std::size_t kMaxDomains = 8;
+  /// Domain ids a record can hold (mem::kMaxDomains).
+  static constexpr std::size_t kMaxDomains = mem::kMaxDomains;
 
   struct Chunk {
     hw::DomainId domain;
@@ -152,7 +151,7 @@ struct Vma {
   /// Physically backed portion.
   [[nodiscard]] const Placement& placement() const { return placement_; }
   /// Owned physical extents (freed on unmap).
-  [[nodiscard]] const std::vector<Extent>& extents() const { return extents_; }
+  [[nodiscard]] const ExtentList& extents() const { return extents_; }
   [[nodiscard]] std::uint64_t fault_count() const { return fault_count_; }
 
   [[nodiscard]] sim::Bytes end() const { return start + length; }
@@ -162,7 +161,7 @@ struct Vma {
  private:
   friend class AddressSpace;
   Placement placement_;
-  std::vector<Extent> extents_;
+  ExtentList extents_;
   std::uint64_t fault_count_ = 0;
 };
 
@@ -181,12 +180,12 @@ class AddressSpace {
   // Backing writes. `vma` must belong to this address space; these are the
   // only writers of a VMA's placement, extents and fault count.
   /// Map-time (upfront) backing of a VMA that has none yet.
-  void attach(Vma& vma, const Placement& placement, std::vector<Extent> extents);
+  void attach(Vma& vma, const Placement& placement, ExtentList extents);
   /// One demand-faulted extent of `vma`, backed at `page` granule in `domain`.
   void back(Vma& vma, hw::DomainId domain, PageSize page, const Extent& extent);
   void note_faults(Vma& vma, std::uint64_t faults);
   /// Drop all of `vma`'s backing; returns its extents for the caller to free.
-  [[nodiscard]] std::vector<Extent> release(Vma& vma);
+  [[nodiscard]] ExtentList release(Vma& vma);
 
   [[nodiscard]] Vma* find(sim::Bytes addr);
   [[nodiscard]] const Vma* find(sim::Bytes addr) const;

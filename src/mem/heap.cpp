@@ -1,6 +1,7 @@
 #include "mem/heap.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "sim/contracts.hpp"
 
@@ -10,7 +11,7 @@ namespace {
 
 /// Free `bytes` from the tail of an extent list (heap shrink — the tail is
 /// the most recently grown region). Returns the page-table teardown cost.
-sim::TimeNs free_tail(PhysMemory& phys, std::vector<Extent>& extents, Placement& placement,
+sim::TimeNs free_tail(PhysMemory& phys, ExtentList& extents, Placement& placement,
                       const MemCostModel& cost, sim::Bytes bytes, PageSize page) {
   sim::TimeNs t{0};
   sim::Bytes remaining = bytes;
@@ -47,7 +48,7 @@ struct FaultBill {
 };
 
 FaultBill fault_in(PhysMemory& phys, const MemCostModel& cost,
-                   const std::vector<hw::DomainId>& order, std::vector<Extent>& extents,
+                   std::span<const hw::DomainId> order, ExtentList& extents,
                    Placement& placement, sim::Bytes bytes, int concurrent) {
   FaultBill bill;
   sim::Bytes remaining = sim::align_up(bytes, 4 * sim::KiB);
@@ -116,7 +117,7 @@ sim::TimeNs LinuxHeap::do_touch_new(int concurrent_faulters) {
   const sim::Bytes to_fault =
       stats_.current > placement_.total() ? stats_.current - placement_.total() : 0;
   if (to_fault == 0) return sim::TimeNs{0};
-  const auto& order = linux_domain_order(topo_, policy_, home_quadrant_);
+  const auto order = linux_domain_order(topo_, policy_, home_quadrant_);
   const FaultBill bill =
       fault_in(phys_, cost_, order, extents_, placement_, to_fault, concurrent_faulters);
   stats_.faults += bill.faults;
@@ -155,7 +156,7 @@ sim::TimeNs LwkHeap::grow_backing(sim::Bytes target) {
   sim::TimeNs t{0};
   if (target <= backed_) return t;
   sim::Bytes need = target - backed_;
-  const auto& order = lwk_domain_order(topo_, home_quadrant_, options_.prefer_mcdram);
+  const auto order = lwk_domain_order(topo_, home_quadrant_, options_.prefer_mcdram);
   for (hw::DomainId d : order) {
     if (need == 0) break;
     const auto& got = phys_.domain(d).alloc_best_effort(need, options_.growth_granule);
@@ -225,7 +226,7 @@ sim::TimeNs LwkHeap::do_touch_new(int concurrent_faulters) {
   if (options_.hpc_mode) return sim::TimeNs{0};  // never faults
   const sim::Bytes to_fault = stats_.current > backed_ ? stats_.current - backed_ : 0;
   if (to_fault == 0) return sim::TimeNs{0};
-  const auto& order = lwk_domain_order(topo_, home_quadrant_, options_.prefer_mcdram);
+  const auto order = lwk_domain_order(topo_, home_quadrant_, options_.prefer_mcdram);
   const FaultBill bill =
       fault_in(phys_, cost_, order, extents_, placement_, to_fault, concurrent_faulters);
   stats_.faults += bill.faults;

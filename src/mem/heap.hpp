@@ -159,7 +159,7 @@ class LinuxHeap final : public HeapEngine {
   MemPolicy policy_;
   int home_quadrant_;
   Placement placement_;
-  std::vector<Extent> extents_;
+  ExtentList extents_;
 };
 
 struct LwkHeapOptions {
@@ -200,7 +200,7 @@ class LwkHeap final : public HeapEngine {
   sim::Bytes backed_ = 0;
   sim::Bytes untouched_ = 0;  ///< only used when hpc_mode is off
   Placement placement_;
-  std::vector<Extent> extents_;
+  ExtentList extents_;
 };
 
 }  // namespace mkos::mem

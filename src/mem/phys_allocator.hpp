@@ -17,6 +17,7 @@
 #include "hw/topology.hpp"
 #include "mem/page.hpp"
 #include "sim/rng.hpp"
+#include "sim/small_vec.hpp"
 
 namespace mkos::mem {
 
@@ -28,6 +29,12 @@ struct Extent {
 
   [[nodiscard]] sim::Bytes end() const { return start + length; }
 };
+
+/// The physical extents backing one mapping, heap or placement result. The
+/// first few live inline: most mappings are backed by one to three runs
+/// (one per page size in one or two domains), so building, moving and
+/// releasing a list costs no heap allocation until it outgrows them.
+using ExtentList = sim::SmallVec<Extent, 4>;
 
 /// First-fit extent allocator for a single NUMA domain.
 class DomainAllocator {

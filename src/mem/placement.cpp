@@ -34,22 +34,16 @@ sim::Bytes interleave_share(const MemPolicy& policy, sim::Bytes total) {
   return sim::align_up(std::max<sim::Bytes>(total / n, 4 * sim::KiB), 4 * sim::KiB);
 }
 
-bool in_policy_domains(const MemPolicy& policy, hw::DomainId d) {
-  return std::find(policy.domains.begin(), policy.domains.end(), d) !=
-         policy.domains.end();
-}
-
 }  // namespace
 
-const std::vector<hw::DomainId>& lwk_domain_order(const hw::NodeTopology& topo,
-                                                  int home_quadrant, bool prefer_mcdram) {
+std::span<const hw::DomainId> lwk_domain_order(const hw::NodeTopology& topo,
+                                               int home_quadrant, bool prefer_mcdram) {
   return topo.kind_major_order(
       home_quadrant, prefer_mcdram ? hw::MemKind::kMcdram : hw::MemKind::kDdr4);
 }
 
-const std::vector<hw::DomainId>& linux_domain_order(const hw::NodeTopology& topo,
-                                                    const MemPolicy& policy,
-                                                    int home_quadrant) {
+std::span<const hw::DomainId> linux_domain_order(const hw::NodeTopology& topo,
+                                                 const MemPolicy& policy, int home_quadrant) {
   switch (policy.mode) {
     case PolicyMode::kBind:
     case PolicyMode::kInterleave:
@@ -68,23 +62,24 @@ PlaceResult place_lwk(PhysMemory& phys, const hw::NodeTopology& topo,
   MKOS_EXPECTS(req.bytes > 0);
   PlaceResult res;
 
-  std::vector<hw::DomainId> merged;
-  const std::vector<hw::DomainId>* order_ptr;
+  DomainList merged;
+  std::span<const hw::DomainId> order;
   if (req.policy.mode == PolicyMode::kDefault) {
-    order_ptr = &lwk_domain_order(topo, req.home_quadrant, req.prefer_mcdram);
+    order = lwk_domain_order(topo, req.home_quadrant, req.prefer_mcdram);
   } else {
     // McKernel "implements the standard NUMA APIs" — an explicit policy wins
     // over the LWK spill order, but the LWK still appends a DDR4 fallback so
     // it can "silently fall back to DDR4 RAM once they run out of MCDRAM".
-    merged = linux_domain_order(topo, req.policy, req.home_quadrant);
+    // Both orders name distinct domains of one topology, so the merge fits
+    // a DomainList.
+    merged = DomainList{linux_domain_order(topo, req.policy, req.home_quadrant)};
     if (req.policy.mode != PolicyMode::kBind) {
       for (hw::DomainId d : lwk_domain_order(topo, req.home_quadrant, false)) {
-        if (std::find(merged.begin(), merged.end(), d) == merged.end()) merged.push_back(d);
+        if (!merged.contains(d)) merged.push_back(d);
       }
     }
-    order_ptr = &merged;
+    order = merged;
   }
-  const std::vector<hw::DomainId>& order = *order_ptr;
 
   sim::Bytes remaining = sim::align_up(req.bytes, 4 * sim::KiB);
   sim::Bytes quota_left = req.mcdram_quota == PlaceRequest::kNoQuota
@@ -106,7 +101,7 @@ PlaceResult place_lwk(PhysMemory& phys, const hw::NodeTopology& topo,
       const bool is_mcdram = topo.domain(d).kind == hw::MemKind::kMcdram;
 
       sim::Bytes want = remaining;
-      if (pass == 0 && stripe_share > 0 && in_policy_domains(req.policy, d)) {
+      if (pass == 0 && stripe_share > 0 && req.policy.domains.contains(d)) {
         want = std::min(want, stripe_share);
       }
       if (is_mcdram && quota_left != PlaceRequest::kNoQuota) {
@@ -185,7 +180,7 @@ TouchResult touch(PhysMemory& phys, const hw::NodeTopology& topo, const MemCostM
   sim::Bytes remaining = std::min(bytes, vma.unbacked());
   if (remaining == 0) return res;
 
-  const std::vector<hw::DomainId>& order =
+  const std::span<const hw::DomainId> order =
       vma.touch_lwk_order ? lwk_domain_order(topo, home_quadrant, true)
                           : linux_domain_order(topo, vma.policy, home_quadrant);
   const double contention = cost.contention(concurrent_faulters);
@@ -200,13 +195,9 @@ TouchResult touch(PhysMemory& phys, const hw::NodeTopology& topo, const MemCostM
     for (hw::DomainId d : order) {
       if (remaining == 0) break;
       auto& alloc = phys.domain(d);
-      if (vma.policy.mode == PolicyMode::kBind &&
-          std::find(vma.policy.domains.begin(), vma.policy.domains.end(), d) ==
-              vma.policy.domains.end()) {
-        continue;
-      }
+      if (vma.policy.mode == PolicyMode::kBind && !vma.policy.domains.contains(d)) continue;
       sim::Bytes budget = remaining;
-      if (pass == 0 && stripe_share > 0 && in_policy_domains(vma.policy, d)) {
+      if (pass == 0 && stripe_share > 0 && vma.policy.domains.contains(d)) {
         budget = std::min(budget, stripe_share);
       }
       // Fault granule: the VMA's granule when extents allow, else 4K. THP is

@@ -14,6 +14,7 @@
 //                    costs with a fault-handler contention multiplier.
 
 #include <cstdint>
+#include <span>
 
 #include "mem/address_space.hpp"
 #include "mem/numa_policy.hpp"
@@ -61,7 +62,7 @@ struct PlaceRequest {
 
 struct PlaceResult {
   Placement placement;          ///< what got backed now
-  std::vector<Extent> extents;  ///< physical extents to attach to the VMA
+  ExtentList extents;           ///< physical extents to attach to the VMA
   sim::Bytes backed = 0;
   sim::Bytes deferred = 0;      ///< left to demand paging
   bool used_demand_fallback = false;
@@ -93,15 +94,15 @@ struct TouchResult {
                                 const MemCostModel& cost, AddressSpace& as, Vma& vma,
                                 sim::Bytes bytes, int home_quadrant, int concurrent_faulters);
 
-/// Domain order a Linux first-touch walks for the given policy. Returns a
-/// reference into the topology's precomputed tables (or the policy's own
-/// domain list for Bind/Interleave) — both outlive any placement call.
-[[nodiscard]] const std::vector<hw::DomainId>& linux_domain_order(
+/// Domain order a Linux first-touch walks for the given policy. Views the
+/// topology's precomputed tables (or the policy's own domain list for
+/// Bind/Interleave, so `policy` must outlive the view).
+[[nodiscard]] std::span<const hw::DomainId> linux_domain_order(
     const hw::NodeTopology& topo, const MemPolicy& policy, int home_quadrant);
 
-/// Domain order an LWK placement walks (MCDRAM-first spill order). Returns a
-/// reference into the topology's precomputed tables.
-[[nodiscard]] const std::vector<hw::DomainId>& lwk_domain_order(
+/// Domain order an LWK placement walks (MCDRAM-first spill order). Views
+/// the topology's precomputed tables.
+[[nodiscard]] std::span<const hw::DomainId> lwk_domain_order(
     const hw::NodeTopology& topo, int home_quadrant, bool prefer_mcdram);
 
 }  // namespace mkos::mem

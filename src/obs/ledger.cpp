@@ -9,50 +9,54 @@
 
 namespace mkos::obs {
 
-void RunLedger::set_meta(const std::string& key, const std::string& value) {
+void RunLedger::set_meta(std::string_view key, const std::string& value) {
   meta_.at(key, std::string{}) = value;
 }
 
-const std::string* RunLedger::meta(const std::string& key) const {
+const std::string* RunLedger::meta(std::string_view key) const {
   return meta_.find(key);
 }
 
-void RunLedger::incr(const std::string& name, std::uint64_t by) {
+void RunLedger::incr(std::string_view name, std::uint64_t by) {
   counters_.at(name, 0) += by;
 }
 
-std::uint64_t RunLedger::counter(const std::string& name) const {
+std::uint64_t RunLedger::counter(std::string_view name) const {
   const std::uint64_t* v = counters_.find(name);
   return v == nullptr ? 0 : *v;
 }
 
-void RunLedger::set_gauge(const std::string& name, double value) {
+void RunLedger::set_gauge(std::string_view name, double value) {
   gauges_.at(name, 0.0) = value;
 }
 
-double RunLedger::gauge(const std::string& name) const {
+double RunLedger::gauge(std::string_view name) const {
   const double* v = gauges_.find(name);
   return v == nullptr ? 0.0 : *v;
 }
 
-void RunLedger::observe(const std::string& name, double sample) {
+void RunLedger::observe(std::string_view name, double sample) {
   summaries_.at(name, sim::Summary{}).add(sample);
 }
 
-const sim::Summary* RunLedger::summary(const std::string& name) const {
+const sim::Summary* RunLedger::summary(std::string_view name) const {
   return summaries_.find(name);
 }
 
-sim::Histogram& RunLedger::hist(const std::string& name, double min_value,
+sim::Histogram& RunLedger::hist(std::string_view name, double min_value,
                                 double max_value, int bins_per_decade) {
+  // Probe first: building the shape allocates its bins, which an existing
+  // histogram does not need.
+  const auto it = histograms_.index.find(name);
+  if (it != histograms_.index.end()) return histograms_.entries[it->second].value;
   return histograms_.at(name, sim::Histogram{min_value, max_value, bins_per_decade});
 }
 
-const sim::Histogram* RunLedger::histogram(const std::string& name) const {
+const sim::Histogram* RunLedger::histogram(std::string_view name) const {
   return histograms_.find(name);
 }
 
-void RunLedger::set_host(const std::string& key, const std::string& json_value) {
+void RunLedger::set_host(std::string_view key, const std::string& json_value) {
   host_.at(key, std::string{}) = json_value;
 }
 

@@ -22,8 +22,10 @@
 // order is deterministic.
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -54,37 +56,37 @@ class MKOS_THREAD_CONFINED("one campaign cell task, merged post-join") RunLedger
   // ------------------------------------------------------------------ meta
   /// Identity strings (bench id, paper figure, config fingerprints, units).
   /// Setting an existing key overwrites in place, keeping its position.
-  void set_meta(const std::string& key, const std::string& value);
-  [[nodiscard]] const std::string* meta(const std::string& key) const;
+  void set_meta(std::string_view key, const std::string& value);
+  [[nodiscard]] const std::string* meta(std::string_view key) const;
 
   // -------------------------------------------------------------- counters
   /// Monotonic 64-bit counters; merge adds. Missing names read as zero.
-  void incr(const std::string& name, std::uint64_t by = 1);
-  [[nodiscard]] std::uint64_t counter(const std::string& name) const;
+  void incr(std::string_view name, std::uint64_t by = 1);
+  [[nodiscard]] std::uint64_t counter(std::string_view name) const;
 
   // ---------------------------------------------------------------- gauges
   /// Point-in-time values; merge overwrites ours with the other ledger's
   /// (positional merge order makes "last writer" deterministic).
-  void set_gauge(const std::string& name, double value);
-  [[nodiscard]] double gauge(const std::string& name) const;
+  void set_gauge(std::string_view name, double value);
+  [[nodiscard]] double gauge(std::string_view name) const;
 
   // ------------------------------------------------------------- summaries
   /// Sample accumulators; merge appends the other's samples in order.
-  void observe(const std::string& name, double sample);
-  [[nodiscard]] const sim::Summary* summary(const std::string& name) const;
+  void observe(std::string_view name, double sample);
+  [[nodiscard]] const sim::Summary* summary(std::string_view name) const;
 
   // ------------------------------------------------------------ histograms
   /// Creates the histogram on first use with the given shape; later calls
   /// with the same name return the existing one (shape arguments ignored).
-  sim::Histogram& hist(const std::string& name, double min_value, double max_value,
+  sim::Histogram& hist(std::string_view name, double min_value, double max_value,
                        int bins_per_decade = 8);
-  [[nodiscard]] const sim::Histogram* histogram(const std::string& name) const;
+  [[nodiscard]] const sim::Histogram* histogram(std::string_view name) const;
 
   // ------------------------------------------------------------------ host
   /// Host-dependent telemetry (wall time, threads, throughput), excluded
   /// from the determinism contract. `json_value` is a pre-serialized JSON
   /// value (use core::json_number / core::json_quote / *_json helpers).
-  void set_host(const std::string& key, const std::string& json_value);
+  void set_host(std::string_view key, const std::string& json_value);
 
   /// Positional merge of a per-task ledger: counters add, gauges overwrite,
   /// summaries append, histograms merge bin-wise (adopting the other's
@@ -130,21 +132,29 @@ class MKOS_THREAD_CONFINED("one campaign cell task, merged post-join") RunLedger
     std::string name;
     T value;
   };
+  /// Transparent name hash: lookups probe with a string_view, so recording
+  /// into an existing entry builds no key string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
   /// Insertion-ordered name/value storage. The unordered index is only
   /// probed by name, never iterated.
   template <typename T>
   struct Section {
     std::vector<Entry<T>> entries;
-    std::unordered_map<std::string, std::size_t> index;
+    std::unordered_map<std::string, std::size_t, NameHash, std::equal_to<>> index;
 
-    T& at(const std::string& name, T initial) {
+    T& at(std::string_view name, T initial) {
       const auto it = index.find(name);
       if (it != index.end()) return entries[it->second].value;
-      index.emplace(name, entries.size());
-      entries.push_back(Entry<T>{name, std::move(initial)});
+      index.emplace(std::string(name), entries.size());
+      entries.push_back(Entry<T>{std::string(name), std::move(initial)});
       return entries.back().value;
     }
-    [[nodiscard]] const T* find(const std::string& name) const {
+    [[nodiscard]] const T* find(std::string_view name) const {
       const auto it = index.find(name);
       return it == index.end() ? nullptr : &entries[it->second].value;
     }

@@ -1,5 +1,9 @@
 #include "obs/snapshots.hpp"
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "alloc/model.hpp"
 #include "fault/fault.hpp"
 #include "kernel/kernel.hpp"
@@ -9,6 +13,22 @@
 #include "runtime/simmpi.hpp"
 
 namespace mkos::obs {
+
+namespace {
+
+/// The gauge name `kernel.noise.<label>.rate_hz`, built once per label and
+/// thread instead of on every record: every rep of a cell records the same
+/// few sources. The reference is valid until the next call.
+const std::string& noise_gauge_name(const std::string& label) {
+  thread_local std::vector<std::pair<std::string, std::string>> names;
+  for (const auto& [known, name] : names) {
+    if (known == label) return name;
+  }
+  names.emplace_back(label, "kernel.noise." + label + ".rate_hz");
+  return names.back().second;
+}
+
+}  // namespace
 
 void record_heap(RunLedger& ledger, const mem::HeapStats& stats) {
   ledger.incr("heap.brk_calls", stats.calls());
@@ -26,7 +46,7 @@ void record_kernel(RunLedger& ledger, const kernel::Kernel& k) {
   // Noise detours by source: the model's per-source rates (what each
   // source steals is sampled downstream and lands in runtime.noise_wait_ns).
   for (const kernel::NoiseComponent& c : k.noise().components()) {
-    ledger.set_gauge("kernel.noise." + c.label + ".rate_hz", c.rate_hz);
+    ledger.set_gauge(noise_gauge_name(c.label), c.rate_hz);
   }
 }
 

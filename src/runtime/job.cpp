@@ -32,9 +32,7 @@ Job::Job(const Machine& machine, JobSpec spec, std::uint64_t seed)
     // matching how MPI_PROC_BIND-style launches lay ranks out on SNC-4.
     const int quadrant = i / std::max(1, spec.ranks_per_node / quadrants) % quadrants;
     kernel::Process& p = node_->launch_rank(quadrant, spec.ranks_per_node);
-    for (int t = 0; t < spec.threads_per_rank; ++t) {
-      p.add_thread(static_cast<hw::CoreId>(i));
-    }
+    for (int t = 0; t < spec.threads_per_rank; ++t) p.add_thread();
     lanes_.push_back(&p);
   }
 }

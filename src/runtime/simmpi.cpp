@@ -136,7 +136,6 @@ void MpiWorld::set_fast_paths(bool on) {
 void MpiWorld::mpi_init(sim::Bytes shm_segment_bytes) {
   shm_ = setup_mpi_shm(job_, shm_segment_bytes);
   pending_uniform_ += shm_.per_rank_cost;
-  refresh_lanes();
 }
 
 std::uint64_t MpiWorld::global_cores() const {

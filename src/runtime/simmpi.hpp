@@ -41,7 +41,10 @@ class MKOS_THREAD_CONFINED("one campaign cell task") MpiWorld {
   MpiWorld(Job& job, std::uint64_t noise_seed);
 
   // ------------------------------------------------------------ init / info
-  /// MPI_Init: shared-memory segment mapping + runtime bring-up.
+  /// MPI_Init: shared-memory segment mapping + runtime bring-up. Keeps the
+  /// lane classes built at construction: lane bandwidth excludes the
+  /// segment's kShm VMAs and the shm set-up leaves the heaps alone, so no
+  /// lane key changes (LaneClasses.ShmSetupChangesNoLaneKey pins this).
   void mpi_init(sim::Bytes shm_segment_bytes = 128 * sim::MiB);
 
   [[nodiscard]] int world_size() const { return job_.world_size(); }
@@ -49,7 +52,7 @@ class MKOS_THREAD_CONFINED("one campaign cell task") MpiWorld {
 
   /// Refresh cached per-lane bandwidths after the setup phase changed
   /// placements, and regroup the lanes into classes. Called automatically
-  /// by mpi_init(). Lane heaps must change only through heap_cycle() in
+  /// at construction. Lane heaps must change only through heap_cycle() in
   /// between: a caller that runs brk on a lane directly calls this after.
   void refresh_lanes();
 

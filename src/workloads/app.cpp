@@ -14,10 +14,11 @@ std::vector<int> fig4_node_counts() {
 void tune_linux_mcdram_bind(runtime::Job& job) {
   kernel::Kernel& k = job.kernel();
   if (k.kind() != kernel::OsKind::kLinux) return;
-  const auto mcdram = job.node().topo().domains_of_kind(hw::MemKind::kMcdram);
-  if (mcdram.empty()) return;
+  const mem::MemPolicy bind =
+      mem::MemPolicy::bind(job.node().topo().domains_of_kind(hw::MemKind::kMcdram));
+  if (bind.domains.empty()) return;
   for (int i = 0; i < job.lane_count(); ++i) {
-    const auto r = k.sys_set_mempolicy(job.lane(i), mem::MemPolicy::bind(mcdram));
+    const auto r = k.sys_set_mempolicy(job.lane(i), bind);
     MKOS_ASSERT(r.err == kernel::kOk);
   }
 }

@@ -41,7 +41,7 @@ class CcsQcdApp final : public App {
     // fell back to DDR4 (Section III-C) — no policy is set.
     kernel::Kernel& k = job.kernel();
     if (k.kind() == kernel::OsKind::kLinux) {
-      const auto hbm = job.node().topo().domains_of_kind(hw::MemKind::kMcdram);
+      const auto& hbm = job.node().topo().domains_of_kind(hw::MemKind::kMcdram);
       if (hbm.size() == 1) {
         const auto r = k.sys_set_mempolicy(job.lane(0), mem::MemPolicy::preferred(hbm[0]));
         MKOS_ASSERT(r.err == kernel::kOk);

@@ -71,7 +71,7 @@ class XsBenchApp final : public App {
         policy = mem::MemPolicy::bind(topo.domains_of_kind(hw::MemKind::kDdr4));
         break;
       case XsPlacement::kInterleave: {
-        std::vector<hw::DomainId> all;
+        mem::DomainList all;
         for (const auto& d : topo.domains()) all.push_back(d.id);
         policy = mem::MemPolicy::interleave(all);
         break;

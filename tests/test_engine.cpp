@@ -13,7 +13,9 @@
 #include "core/config.hpp"
 #include "core/obs_glue.hpp"
 #include "kernel/noise.hpp"
+#include "runtime/shm.hpp"
 #include "runtime/simmpi.hpp"
+#include "workloads/app.hpp"
 
 namespace {
 
@@ -404,6 +406,45 @@ TEST(LaneClasses, RegroupingKeepsPendingWork) {
     return world.finish().ns();
   };
   EXPECT_EQ(run(true), run(false));
+}
+
+TEST(LaneClasses, ShmSetupChangesNoLaneKey) {
+  // MpiWorld::mpi_init() keeps the lane classes it built at construction:
+  // lane bandwidth excludes the kShm VMAs the segment maps, and the shm
+  // set-up leaves the heaps alone. Pin both over the fig4 grid: each app's
+  // own node counts among 1, 16, 256 and 2,048, on all three kernels.
+  const std::vector<SystemConfig> configs{SystemConfig::linux_default(),
+                                          SystemConfig::mckernel(), SystemConfig::mos()};
+  int worlds = 0;
+  for (const std::string& name : workloads::fig4_app_names()) {
+    for (const SystemConfig& config : configs) {
+      for (const int nodes : {1, 16, 256, 2048}) {
+        const auto app = workloads::make_app(name);
+        ASSERT_NE(app, nullptr) << name;
+        const std::vector<int> counts = app->node_counts();
+        if (std::find(counts.begin(), counts.end(), nodes) == counts.end()) continue;
+        const Machine m = config.machine(nodes);
+        Job job{m, app->spec(nodes), 5};
+        app->setup(job);
+        const auto lane_keys = [&job] {
+          std::vector<std::pair<double, std::uint64_t>> keys;
+          for (int i = 0; i < job.lane_count(); ++i) {
+            keys.emplace_back(job.lane_effective_gbps(i),
+                              job.lane(i).heap()->state_fingerprint());
+          }
+          return keys;
+        };
+        const auto before = lane_keys();
+        (void)setup_mpi_shm(job, 128 * MiB);  // mpi_init()'s default segment
+        EXPECT_EQ(lane_keys(), before) << name << " on " << config.label() << " at "
+                                       << nodes << " nodes";
+        ++worlds;
+      }
+    }
+  }
+  // 25 (app, node count) cells: LAMMPS starts at 16 nodes, MiniFE at 16
+  // and stops at 1,024.
+  EXPECT_EQ(worlds, 25 * 3);
 }
 
 TEST(FastPaths, FreshWorldBandwidthSentinelNeverLeaks) {

@@ -122,6 +122,22 @@ TEST_F(KernelFixture, MosRigidAllocationReturnsEnomem) {
   EXPECT_EQ(r.vma, nullptr);
 }
 
+TEST_F(KernelFixture, MosFailedMmapLeavesMcdramQuotaUncharged) {
+  Kernel& k = mos_node_.app_kernel();
+  // The only rank on the node: its launch-time quota is all free MCDRAM.
+  Process& p = mos_node_.launch_rank(0, 1);
+  const auto mcdram_free = k.phys().free_bytes_of_kind(k.topo(), hw::MemKind::kMcdram);
+  auto failed = k.sys_mmap(p, 150 * GiB, mem::VmaKind::kAnon, mem::MemPolicy::standard());
+  ASSERT_EQ(failed.err, kENOMEM);
+  // The partial backing went back to the domains, and so did its charge.
+  EXPECT_EQ(k.phys().free_bytes_of_kind(k.topo(), hw::MemKind::kMcdram), mcdram_free);
+  EXPECT_EQ(p.mcdram_used(), 0u);
+  auto r = k.sys_mmap(p, 1 * GiB, mem::VmaKind::kAnon, mem::MemPolicy::standard());
+  ASSERT_EQ(r.err, kOk);
+  EXPECT_EQ(r.vma->placement().bytes_in_kind(k.topo(), hw::MemKind::kMcdram), 1 * GiB);
+  EXPECT_EQ(p.mcdram_used(), 1 * GiB);
+}
+
 TEST_F(KernelFixture, MunmapReturnsPhysicalMemory) {
   Kernel& k = mck_node_.app_kernel();
   Process& p = k.create_process(0);

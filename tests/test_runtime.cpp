@@ -25,7 +25,7 @@ TEST(Job, LanesMatchRanksPerNode) {
   Job job{m, JobSpec{4, 64, 2}, 1};
   EXPECT_EQ(job.world_size(), 256);
   EXPECT_EQ(job.lane_count(), 64);
-  EXPECT_EQ(job.lane(0).threads().size(), 2u);
+  EXPECT_EQ(job.lane(0).thread_count(), 2);
 }
 
 TEST(Job, RanksSpreadAcrossQuadrants) {
