@@ -24,15 +24,16 @@ std::uint64_t mix64(std::uint64_t x) {
   return x;
 }
 
-/// One repetition's figure of merit plus its telemetry snapshot.
-struct RepOutcome {
-  workloads::AppResult result;
-  obs::RunLedger ledger;
-};
+std::vector<int> capped_node_counts(const workloads::App& app, int max_nodes) {
+  std::vector<int> counts;
+  for (const int nodes : app.node_counts()) {
+    if (nodes <= max_nodes) counts.push_back(nodes);
+  }
+  return counts;
+}
 
-/// One repetition of a cell with positionally derived seeds; its telemetry
-/// is recorded into `ledger`. Thread-safe as long as neither `app` nor
-/// `ledger` is shared across concurrent calls.
+}  // namespace
+
 workloads::AppResult run_once(workloads::App& app, const SystemConfig& config, int nodes,
                               std::uint64_t cell_fp, int rep, obs::RunLedger& ledger) {
   // Fresh machine per repetition: heap state, placements and partition
@@ -71,32 +72,6 @@ workloads::AppResult run_once(workloads::App& app, const SystemConfig& config, i
   return result;
 }
 
-std::vector<int> capped_node_counts(const workloads::App& app, int max_nodes) {
-  std::vector<int> counts;
-  for (const int nodes : app.node_counts()) {
-    if (nodes <= max_nodes) counts.push_back(nodes);
-  }
-  return counts;
-}
-
-std::unique_ptr<workloads::App> registry_app(std::string_view name) {
-  auto app = workloads::make_app(name);
-  MKOS_EXPECTS(app != nullptr);  // pooled overloads need a registry name
-  return app;
-}
-
-RunStats collect(const std::vector<RepOutcome>& outcomes) {
-  RunStats rs;
-  for (const RepOutcome& o : outcomes) {
-    rs.fom.add(o.result.fom);
-    rs.unit = o.result.unit;
-    rs.ledger.merge(o.ledger);  // rep order: positional, thread-count free
-  }
-  return rs;
-}
-
-}  // namespace
-
 std::uint64_t cell_fingerprint(std::string_view app_name, const SystemConfig& config,
                                int nodes, std::uint64_t seed) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -118,8 +93,9 @@ RunStats run_app(workloads::App& app, const SystemConfig& config, int nodes, int
                  std::uint64_t seed) {
   MKOS_EXPECTS(reps >= 1);
   const std::uint64_t fp = cell_fingerprint(app.name(), config, nodes, seed);
-  // Every rep records straight into the cell's ledger. That equals the
-  // pooled overloads' positional merge of per-rep ledgers: counters add,
+  // Every rep records straight into the cell's ledger. That equals a
+  // positional merge of per-rep ledgers (perfbench's replica merges them;
+  // Experiment.DirectRecordingEqualsPerRepMerge pins the two): counters add,
   // gauges overwrite, summaries and histograms accumulate in rep order,
   // and a name first recorded by rep k lands after rep 0..k-1's names —
   // exactly where merging rep k's ledger would append it.
@@ -132,22 +108,6 @@ RunStats run_app(workloads::App& app, const SystemConfig& config, int nodes, int
   return rs;
 }
 
-RunStats run_app(std::string_view app_name, const SystemConfig& config, int nodes,
-                 int reps, std::uint64_t seed, sim::TaskPool& pool) {
-  MKOS_EXPECTS(reps >= 1);
-  registry_app(app_name);  // fail fast on unknown names, before fan-out
-  const std::uint64_t fp = cell_fingerprint(app_name, config, nodes, seed);
-  std::vector<RepOutcome> outcomes(static_cast<std::size_t>(reps));
-  sim::parallel_for(pool, static_cast<std::size_t>(reps), [&](std::size_t rep) {
-    // Own App per task: proxies keep per-run scratch, and sharing one across
-    // threads would race setup() against run().
-    const auto app = registry_app(app_name);
-    RepOutcome& out = outcomes[rep];
-    out.result = run_once(*app, config, nodes, fp, static_cast<int>(rep), out.ledger);
-  });
-  return collect(outcomes);
-}
-
 std::vector<ScalingPoint> scaling_sweep(workloads::App& app, const SystemConfig& config,
                                         int reps, std::uint64_t seed, int max_nodes,
                                         obs::RunLedger* ledger) {
@@ -156,41 +116,6 @@ std::vector<ScalingPoint> scaling_sweep(workloads::App& app, const SystemConfig&
     const RunStats rs = run_app(app, config, nodes, reps, seed);
     if (ledger != nullptr) ledger->merge(rs.ledger);
     out.push_back(ScalingPoint{nodes, rs.median(), rs.min(), rs.max()});
-  }
-  return out;
-}
-
-std::vector<ScalingPoint> scaling_sweep(std::string_view app_name,
-                                        const SystemConfig& config, int reps,
-                                        std::uint64_t seed, sim::TaskPool& pool,
-                                        int max_nodes, obs::RunLedger* ledger) {
-  MKOS_EXPECTS(reps >= 1);
-  const auto probe = registry_app(app_name);
-  const std::vector<int> counts = capped_node_counts(*probe, max_nodes);
-
-  // Flatten to (node, rep) tasks for load balance: large-node cells dominate
-  // wall time and would serialize a per-node fan-out's tail.
-  std::vector<std::vector<RepOutcome>> outcomes(counts.size());
-  for (auto& cell : outcomes) cell.resize(static_cast<std::size_t>(reps));
-  sim::parallel_for(pool, counts.size() * static_cast<std::size_t>(reps),
-                    [&](std::size_t task) {
-                      const std::size_t ci = task / static_cast<std::size_t>(reps);
-                      const int rep = static_cast<int>(task % static_cast<std::size_t>(reps));
-                      const std::uint64_t fp =
-                          cell_fingerprint(app_name, config, counts[ci], seed);
-                      const auto app = registry_app(app_name);
-                      RepOutcome& out = outcomes[ci][static_cast<std::size_t>(rep)];
-                      out.result = run_once(*app, config, counts[ci], fp, rep, out.ledger);
-                    });
-
-  std::vector<ScalingPoint> out;
-  out.reserve(counts.size());
-  for (std::size_t ci = 0; ci < counts.size(); ++ci) {
-    const RunStats rs = collect(outcomes[ci]);
-    // Merge after collect so the ledger accumulates in (node, rep) order —
-    // identical to the serial overload regardless of task scheduling.
-    if (ledger != nullptr) ledger->merge(rs.ledger);
-    out.push_back(ScalingPoint{counts[ci], rs.median(), rs.min(), rs.max()});
   }
   return out;
 }

@@ -6,9 +6,9 @@
 //
 // Seeds are positional: every repetition's RNG streams derive from
 // hash(app name, SystemConfig::fingerprint(), nodes, campaign seed, rep),
-// never from execution order. The serial entry points and the thread-pooled
-// overloads therefore produce bit-identical statistics, and the campaign
-// cache can key results by the same fingerprint.
+// never from execution order. A cell's statistics are therefore the same
+// whichever thread runs it (core::Campaign fans cells out over a pool), and
+// the campaign cache can key results by the same fingerprint.
 
 #include <cstdint>
 #include <string>
@@ -18,7 +18,6 @@
 #include "core/config.hpp"
 #include "obs/ledger.hpp"
 #include "sim/stats.hpp"
-#include "sim/thread_pool.hpp"
 #include "workloads/app.hpp"
 
 namespace mkos::core {
@@ -27,7 +26,7 @@ struct RunStats {
   sim::Summary fom;
   std::string unit;
   /// Telemetry of the cell's repetitions, accumulated in rep order
-  /// (positional, so serial and pooled runs carry identical ledgers).
+  /// (positional, so a cell's ledger is independent of scheduling).
   obs::RunLedger ledger;
 
   [[nodiscard]] double median() const { return fom.median(); }
@@ -47,16 +46,19 @@ struct RunStats {
 [[nodiscard]] std::uint64_t rep_seed(std::uint64_t cell_fp, int rep,
                                      std::uint64_t stream = 0);
 
-/// One (app, config, nodes) cell: `reps` independent runs, serial.
+/// Repetition `rep` of the cell `cell_fp` (see cell_fingerprint): a fresh
+/// machine, job and MPI world seeded from rep_seed(cell_fp, rep, ...). Its
+/// telemetry is recorded into `ledger`. Thread-safe as long as neither `app`
+/// nor `ledger` is shared across concurrent calls.
+[[nodiscard]] workloads::AppResult run_once(workloads::App& app, const SystemConfig& config,
+                                            int nodes, std::uint64_t cell_fp, int rep,
+                                            obs::RunLedger& ledger);
+
+/// One (app, config, nodes) cell: `reps` independent runs in rep order,
+/// each recorded straight into the cell's ledger. Equal to merging per-rep
+/// run_once ledgers in rep order.
 [[nodiscard]] RunStats run_app(workloads::App& app, const SystemConfig& config,
                                int nodes, int reps, std::uint64_t seed);
-
-/// Thread-pooled cell: repetitions fan out as independent tasks, each
-/// constructing its own App through the registry (`app_name` must be a
-/// registry name). Bit-identical to the serial overload.
-[[nodiscard]] RunStats run_app(std::string_view app_name, const SystemConfig& config,
-                               int nodes, int reps, std::uint64_t seed,
-                               sim::TaskPool& pool);
 
 struct ScalingPoint {
   int nodes = 0;
@@ -71,17 +73,6 @@ struct ScalingPoint {
 [[nodiscard]] std::vector<ScalingPoint> scaling_sweep(workloads::App& app,
                                                       const SystemConfig& config,
                                                       int reps, std::uint64_t seed,
-                                                      int max_nodes = 1 << 30,
-                                                      obs::RunLedger* ledger = nullptr);
-
-/// Thread-pooled sweep: (node count, repetition) pairs fan out as independent
-/// tasks. Bit-identical to the serial overload for the same inputs — including
-/// the merged `ledger`, which always accumulates in positional (node, rep)
-/// order regardless of task scheduling.
-[[nodiscard]] std::vector<ScalingPoint> scaling_sweep(std::string_view app_name,
-                                                      const SystemConfig& config,
-                                                      int reps, std::uint64_t seed,
-                                                      sim::TaskPool& pool,
                                                       int max_nodes = 1 << 30,
                                                       obs::RunLedger* ledger = nullptr);
 

@@ -38,10 +38,6 @@ struct NetworkModel {
 
   /// Hop estimate between two distinct nodes of a `total_nodes` machine.
   [[nodiscard]] int hop_count(int node_a, int node_b, int total_nodes) const;
-
-  /// Convenience: wire time with the hop estimate folded in.
-  [[nodiscard]] sim::TimeNs message_time(sim::Bytes bytes, int node_a, int node_b,
-                                         int total_nodes) const;
 };
 
 /// The Oakforest-PACS fabric: 100 Gbit Omni-Path, full bisection fat-tree,

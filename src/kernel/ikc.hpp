@@ -36,16 +36,11 @@ class IkcChannel {
   [[nodiscard]] sim::TimeNs offload_round_trip(sim::Bytes request,
                                                sim::Bytes response) const;
 
-  [[nodiscard]] int quadrant_hops() const { return hops_; }
   [[nodiscard]] const IkcCosts& costs() const { return costs_; }
-
-  [[nodiscard]] std::uint64_t messages_sent() const { return messages_; }
-  void count_message() { ++messages_; }
 
  private:
   IkcCosts costs_;
   int hops_;
-  std::uint64_t messages_ = 0;
 };
 
 }  // namespace mkos::kernel

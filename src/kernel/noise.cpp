@@ -185,22 +185,17 @@ double sample_component_max_ns(const NoiseComponent& c, std::uint64_t n,
 NoiseModel::NoiseModel(std::vector<NoiseComponent> components)
     : components_(std::move(components)) {
   moments_.reserve(components_.size());
-  for (const auto& c : components_) moments_.push_back(component_moments(c));
-  for (std::size_t i = 0; i < components_.size(); ++i) push_lane(i);
+  for (const auto& c : components_) {
+    moments_.push_back(component_moments(c));
+    lanes_.rate_hz.push_back(c.rate_hz);
+  }
 }
 
 NoiseModel& NoiseModel::add(NoiseComponent c) {
   moments_.push_back(component_moments(c));
+  lanes_.rate_hz.push_back(c.rate_hz);
   components_.push_back(std::move(c));
-  push_lane(components_.size() - 1);
   return *this;
-}
-
-void NoiseModel::push_lane(std::size_t i) {
-  const ComponentMoments& m = moments_[i];
-  lanes_.rate_hz.push_back(components_[i].rate_hz);
-  lanes_.m1_ns.push_back(m.m1_ns);
-  lanes_.var_ns2.push_back(std::max(m.m2_ns2 - m.m1_ns * m.m1_ns, 0.0));
 }
 
 double NoiseModel::expected_fraction() const {
@@ -227,84 +222,6 @@ sim::TimeNs NoiseModel::sample(sim::TimeNs span, sim::Rng& rng,
         sample_component_sum_ns(components_[i], moments_[i], n, rng, counters));
   }
   return stolen;
-}
-
-void NoiseModel::sample_batch(std::span<const sim::TimeNs> spans,
-                              std::span<sim::TimeNs> out, sim::Rng& rng,
-                              SampleCounters* counters) const {
-  MKOS_EXPECTS(out.size() == spans.size());
-  for (auto& o : out) o = sim::TimeNs{0};
-  if (spans.empty() || lanes_.size() == 0) return;
-
-  std::vector<double> means(spans.size());
-  std::vector<std::uint64_t> counts(spans.size());
-  std::vector<std::uint64_t> clt_counts(spans.size());
-  std::vector<double> sums(spans.size());
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    const NoiseComponent& c = components_[i];
-    const ComponentMoments& m = moments_[i];
-    const double rate = lanes_.rate_hz[i];
-    for (std::size_t j = 0; j < spans.size(); ++j) {
-      MKOS_EXPECTS(spans[j] >= sim::TimeNs{0});
-      means[j] = rate * spans[j].sec();
-    }
-    rng.fill_poisson(means, counts);
-
-    const double cap = static_cast<double>(c.cap.ns());
-    if (c.dist == NoiseComponent::Dist::kFixed) {
-      for (std::size_t j = 0; j < spans.size(); ++j) {
-        if (counts[j] == 0) continue;
-        if (counters != nullptr) ++counters->analytic_sums;
-        out[j] += sim::from_double_ns(m.m1_ns * static_cast<double>(counts[j]));
-      }
-      continue;
-    }
-    if (c.dist == NoiseComponent::Dist::kExponential && cap <= 0.0) {
-      rng.fill_exponential_sums(counts, static_cast<double>(c.duration.ns()), sums);
-      for (std::size_t j = 0; j < spans.size(); ++j) {
-        if (counts[j] == 0) continue;
-        if (counters != nullptr) ++counters->analytic_sums;
-        out[j] += sim::from_double_ns(sums[j]);
-      }
-      continue;
-    }
-
-    // Capped / heavy-tailed shapes: the CLT-eligible part of the lane goes
-    // through one batched normal fill; sub-threshold counts fall back to
-    // exact per-event draws, exactly as the scalar path does.
-    std::uint64_t clt_mask_nonzero = 0;
-    for (std::size_t j = 0; j < spans.size(); ++j) {
-      const bool clt = counts[j] >= kNormalSumThreshold && m.m2_finite;
-      means[j] = clt ? 1.0 : 0.0;  // reuse as the CLT-eligibility mask
-      clt_mask_nonzero += clt ? 1 : 0;
-    }
-    if (clt_mask_nonzero > 0) {
-      for (std::size_t j = 0; j < spans.size(); ++j) {
-        clt_counts[j] = means[j] != 0.0 ? counts[j] : 0;
-      }
-      rng.fill_normal_sums(clt_counts, m.m1_ns, lanes_.var_ns2[i], sums);
-      for (std::size_t j = 0; j < spans.size(); ++j) {
-        if (clt_counts[j] == 0) continue;
-        if (counters != nullptr) ++counters->analytic_sums;
-        const double nd = static_cast<double>(clt_counts[j]);
-        double lo = 0.0;
-        double hi = std::numeric_limits<double>::infinity();
-        if (c.dist == NoiseComponent::Dist::kPareto) {
-          const double xm = static_cast<double>(c.duration.ns());
-          lo = nd * (cap > 0.0 ? std::min(xm, cap) : xm);
-        }
-        if (cap > 0.0) hi = nd * cap;
-        out[j] += sim::from_double_ns(std::clamp(sums[j], lo, hi));
-      }
-    }
-    for (std::size_t j = 0; j < spans.size(); ++j) {
-      if (counts[j] == 0 || means[j] != 0.0) continue;
-      if (counters != nullptr) counters->exact_events += counts[j];
-      double sum = 0.0;
-      for (std::uint64_t k = 0; k < counts[j]; ++k) sum += draw_one_ns(c, rng);
-      out[j] += sim::from_double_ns(sum);
-    }
-  }
 }
 
 NoiseModel noise_lwk() {

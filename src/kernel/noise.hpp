@@ -12,7 +12,6 @@
 // application computes for `span`; collectives then propagate the per-rank
 // tails (max-reduction), which is where amplification at scale comes from.
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -70,16 +69,14 @@ struct SampleCounters {
 [[nodiscard]] double sample_component_max_ns(const NoiseComponent& c, std::uint64_t n,
                                              sim::Rng& rng);
 
-/// Structure-of-arrays lanes over the per-component scalars the sample scan
-/// actually reads. A NoiseComponent is label-string-first and ~80 bytes, so
+/// Structure-of-arrays lane over the per-component scalar the sample scan
+/// reads first. A NoiseComponent is label-string-first and ~80 bytes, so
 /// scanning the AoS pulls two cache lines per component just to learn that
 /// its Poisson count is zero (the common case: rates are per second, spans
-/// are microseconds). The lanes pack the firing rates contiguously —
-/// parallel to components()/moments(), rebuilt on add().
+/// are microseconds). The lane packs the firing rates contiguously —
+/// parallel to components()/moments(), extended on add().
 struct ComponentLanes {
   std::vector<double> rate_hz;   ///< Poisson intensity of each component
-  std::vector<double> m1_ns;     ///< truncated first moment (sum fast path)
-  std::vector<double> var_ns2;   ///< max(m2 - m1^2, 0): per-event variance
 
   [[nodiscard]] std::size_t size() const { return rate_hz.size(); }
 };
@@ -107,26 +104,12 @@ class NoiseModel {
   [[nodiscard]] sim::TimeNs sample(sim::TimeNs span, sim::Rng& rng,
                                    SampleCounters* counters = nullptr) const;
 
-  /// Batched variant: stolen time for each compute span in `spans`, written
-  /// into the caller-provided `out` (same length). Component-major: for each
-  /// component the Poisson counts of the whole batch are drawn into a lane,
-  /// then the sums for the whole lane are drawn through the batched Rng
-  /// fills (Gamma for uncapped exponentials, CLT normals for capped shapes).
-  /// Stream layout therefore differs from calling sample() per span — the
-  /// distribution of each output is identical, the draw interleaving is not
-  /// — so this is a new-callers-only API: hot paths whose draw order feeds
-  /// ledgered gauges stay on sample().
-  void sample_batch(std::span<const sim::TimeNs> spans, std::span<sim::TimeNs> out,
-                    sim::Rng& rng, SampleCounters* counters = nullptr) const;
-
   NoiseModel& add(NoiseComponent c);
 
  private:
-  void push_lane(std::size_t i);
-
   std::vector<NoiseComponent> components_;
   std::vector<ComponentMoments> moments_;  ///< hoisted out of the sample path
-  ComponentLanes lanes_;                   ///< SoA mirror of the hot scalars
+  ComponentLanes lanes_;                   ///< SoA mirror of the firing rates
 };
 
 /// LWK application cores: essentially silent (cooperative scheduler, no

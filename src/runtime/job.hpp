@@ -22,9 +22,6 @@ struct JobSpec {
   int threads_per_rank = 1;
 
   [[nodiscard]] int world_size() const { return nodes * ranks_per_node; }
-  [[nodiscard]] int app_threads_per_node() const {
-    return ranks_per_node * threads_per_rank;
-  }
 };
 
 /// A machine is hardware plus the OS deployment choice.

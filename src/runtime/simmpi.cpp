@@ -216,10 +216,8 @@ void MpiWorld::alloc_churn(std::uint64_t pairs_per_rank, sim::Bytes obj_bytes) {
   // pending array, never in pending_uniform_.
   lane_pending_dirty_ = true;
   for (int i = 0; i < lanes; ++i) {
-    const sim::TimeNs cost =
-        alloc_model_->churn(i, pairs_per_rank, obj_bytes);
-    lanes_.pending_ns[static_cast<std::size_t>(i)] += cost.ns();
-    alloc_wait_ += cost;
+    lanes_.pending_ns[static_cast<std::size_t>(i)] +=
+        alloc_model_->churn(i, pairs_per_rank, obj_bytes).ns();
   }
 }
 
@@ -358,11 +356,8 @@ void MpiWorld::synchronize(std::uint64_t sync_cores, sim::TimeNs comm, SyncKind 
                                          rng_, &noise_counters_);
   // Fault/recovery charge for this window (nothing runs when detached, so a
   // fault-free world stays bit-identical to a build without the subsystem).
-  sim::TimeNs fault_extra{0};
-  if (resilience_ != nullptr) {
-    fault_extra = resilience_->on_sync(span);
-    fault_wait_ += fault_extra;
-  }
+  const sim::TimeNs fault_extra =
+      resilience_ != nullptr ? resilience_->on_sync(span) : sim::TimeNs{0};
   clock_ += span + w.max + comm + fault_extra;
   compute_time_ += span;
   noise_wait_ += w.max;

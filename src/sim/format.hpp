@@ -68,7 +68,4 @@ class JsonObject {
   std::vector<std::string> fields_;
 };
 
-/// Write `content` to `path` (truncating); returns false on I/O failure.
-bool write_text_file(const std::string& path, const std::string& content);
-
 }  // namespace mkos::sim

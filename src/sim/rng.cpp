@@ -63,16 +63,6 @@ double Rng::exponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Rng::lognormal(double median, double sigma) {
-  MKOS_EXPECTS(median > 0 && sigma > 0);
-  // Box-Muller.
-  double u1 = next_double();
-  double u2 = next_double();
-  if (u1 <= 0.0) u1 = 0x1.0p-53;
-  const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
-  return median * std::exp(sigma * z);
-}
-
 double Rng::normal(double mean, double stddev) {
   MKOS_EXPECTS(stddev >= 0);
   // Box-Muller (cosine branch; the sine twin is discarded to keep the
@@ -150,34 +140,6 @@ std::uint64_t Rng::poisson(double mean) {
   const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
   const double v = mean + std::sqrt(mean) * z + 0.5;
   return v <= 0.0 ? 0 : static_cast<std::uint64_t>(v);
-}
-
-void Rng::fill_poisson(std::span<const double> means, std::span<std::uint64_t> out) {
-  MKOS_EXPECTS(out.size() == means.size());
-  for (std::size_t i = 0; i < means.size(); ++i) out[i] = poisson(means[i]);
-}
-
-void Rng::fill_exponential_sums(std::span<const std::uint64_t> counts, double mean,
-                                std::span<double> out) {
-  MKOS_EXPECTS(out.size() == counts.size());
-  MKOS_EXPECTS(mean > 0);
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    out[i] = counts[i] == 0 ? 0.0 : exponential_sum(counts[i], mean);
-  }
-}
-
-void Rng::fill_normal_sums(std::span<const std::uint64_t> counts, double m1,
-                           double var1, std::span<double> out) {
-  MKOS_EXPECTS(out.size() == counts.size());
-  MKOS_EXPECTS(var1 >= 0);
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (counts[i] == 0) {
-      out[i] = 0.0;
-      continue;
-    }
-    const double nd = static_cast<double>(counts[i]);
-    out[i] = normal(m1 * nd, std::sqrt(var1 * nd));
-  }
 }
 
 Rng Rng::fork(std::uint64_t tag) const {

@@ -3,10 +3,9 @@
 // the per-CPU magazine SlabCache (refill cascade, resize hysteresis, drain,
 // slab runs at the arena stride), the DomainAllocator traffic hook that
 // attributes kernel-heap refills per lane, the per-kernel personality
-// separation, and the two contracts the subsystem ships under:
-// inert-by-default (an AllocSpec{} config keeps its pre-subsystem
-// fingerprint/digest) and serial-vs-pooled ledger identity with the model
-// enabled.
+// separation, and the inert-by-default contract (an AllocSpec{} config keeps
+// its pre-subsystem fingerprint/digest). Thread-count ledger identity with the
+// model enabled is checked in test_campaign.cpp.
 
 #include <gtest/gtest.h>
 
@@ -19,12 +18,10 @@
 #include "alloc/slab.hpp"
 #include "alloc/spec.hpp"
 #include "alloc/vmem.hpp"
-#include "core/experiment.hpp"
+#include "core/config.hpp"
 #include "hw/knl.hpp"
 #include "mem/phys_allocator.hpp"
-#include "sim/thread_pool.hpp"
 #include "sim/units.hpp"
-#include "workloads/app.hpp"
 
 namespace {
 
@@ -517,29 +514,6 @@ TEST(AllocSpec, InertSpecKeepsFingerprintAndDigest) {
 
   on.alloc.contention_scale = 0.5;
   EXPECT_NE(on.fingerprint(), core::SystemConfig::mos().fingerprint());
-}
-
-TEST(AllocModel, SerialAndPooledSweepLedgersAreByteIdentical) {
-  core::SystemConfig config = core::SystemConfig::mos();
-  config.alloc.model_allocator = true;
-  constexpr int kReps = 2;
-  constexpr std::uint64_t kSeed = 99;
-  constexpr int kMaxNodes = 16;
-
-  auto app = workloads::make_xsbench_interleave();
-  obs::RunLedger serial;
-  (void)core::scaling_sweep(*app, config, kReps, kSeed, kMaxNodes, &serial);
-
-  sim::ThreadPool pool{8};
-  obs::RunLedger pooled;
-  (void)core::scaling_sweep("XSBench/interleave", config, kReps, kSeed, pool,
-                            kMaxNodes, &pooled);
-
-  const std::string json = serial.to_json();
-  EXPECT_EQ(json, pooled.to_json());
-  // The enabled model must surface its counter group in the merged ledger.
-  EXPECT_NE(json.find("\"alloc.magazine_hits\""), std::string::npos);
-  EXPECT_NE(json.find("\"alloc.vmem_imports\""), std::string::npos);
 }
 
 }  // namespace

@@ -121,39 +121,6 @@ TEST(Fingerprint, DigestRendersExactlyTheHashedKnobs) {
 
 // ------------------------------------------------------------- determinism
 
-TEST(Campaign, ParallelRunAppIsBitIdenticalToSerial) {
-  auto app = workloads::make_minife();
-  const RunStats serial = run_app(*app, SystemConfig::mckernel(), 16, 5, 1234);
-  sim::ThreadPool pool(4);
-  const RunStats parallel = run_app("MiniFE", SystemConfig::mckernel(), 16, 5, 1234, pool);
-  ASSERT_EQ(parallel.fom.count(), serial.fom.count());
-  EXPECT_EQ(parallel.unit, serial.unit);
-  // Bit-identical, rep for rep — not merely statistically close.
-  for (std::size_t i = 0; i < serial.fom.samples().size(); ++i) {
-    EXPECT_EQ(parallel.fom.samples()[i], serial.fom.samples()[i]) << "rep " << i;
-  }
-}
-
-TEST(Campaign, SweepMediansBitIdenticalAcrossThreadCounts) {
-  const SystemConfig cfg = SystemConfig::mos();
-  auto app = workloads::make_minife();
-  const auto serial = scaling_sweep(*app, cfg, 3, 99, 64);
-  sim::ThreadPool one(1);
-  sim::ThreadPool many(4);
-  const auto pooled1 = scaling_sweep("MiniFE", cfg, 3, 99, one, 64);
-  const auto pooledN = scaling_sweep("MiniFE", cfg, 3, 99, many, 64);
-  ASSERT_EQ(pooled1.size(), serial.size());
-  ASSERT_EQ(pooledN.size(), serial.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(pooled1[i].nodes, serial[i].nodes);
-    EXPECT_EQ(pooledN[i].nodes, serial[i].nodes);
-    EXPECT_EQ(pooled1[i].median, serial[i].median);
-    EXPECT_EQ(pooledN[i].median, serial[i].median);
-    EXPECT_EQ(pooledN[i].min, serial[i].min);
-    EXPECT_EQ(pooledN[i].max, serial[i].max);
-  }
-}
-
 /// Runs `spec` on `pool` and renders every cell's statistics as one
 /// ledger document: the byte-compare surface for fan-out determinism.
 std::string grid_ledger_json(sim::TaskPool& pool, CellCache& cache,
@@ -171,21 +138,37 @@ std::string grid_ledger_json(sim::TaskPool& pool, CellCache& cache,
 
 TEST(Campaign, PooledGridLedgerIsByteIdenticalToSerial) {
   // The same grid through a one-worker pool and a four-worker pool must
-  // produce byte-identical reporting documents.
-  CampaignSpec spec;
-  spec.apps = {"MiniFE", "HPCG", "Lulesh2.0"};
-  spec.configs = {SystemConfig::linux_default(), SystemConfig::mckernel(),
+  // produce byte-identical reporting documents: three apps on all three
+  // kernels, and XSBench/interleave on mOS with the allocator model on
+  // (its vmem/magazine state is per rep, so no alloc.* counter may move).
+  CampaignSpec grid;
+  grid.apps = {"MiniFE", "HPCG", "Lulesh2.0"};
+  grid.configs = {SystemConfig::linux_default(), SystemConfig::mckernel(),
                   SystemConfig::mos()};
-  spec.nodes = {16, 32};
-  spec.reps = 2;
-  spec.seed = 21;
+  grid.nodes = {16, 32};
+  grid.reps = 2;
+  grid.seed = 21;
+
+  SystemConfig alloc_on = SystemConfig::mos();
+  alloc_on.alloc.model_allocator = true;
+  CampaignSpec alloc_grid;
+  alloc_grid.apps = {"XSBench/interleave"};
+  alloc_grid.configs = {alloc_on};
+  alloc_grid.nodes = {1, 2, 4, 8, 16};
+  alloc_grid.reps = 2;
+  alloc_grid.seed = 99;
 
   sim::ThreadPool serial(1);
   sim::ThreadPool pooled(4);
-  CellCache serial_cache;
-  CellCache pooled_cache;
-  EXPECT_EQ(grid_ledger_json(pooled, pooled_cache, spec),
-            grid_ledger_json(serial, serial_cache, spec));
+  for (const CampaignSpec& spec : {grid, alloc_grid}) {
+    CellCache serial_cache;
+    CellCache pooled_cache;
+    const std::string json = grid_ledger_json(serial, serial_cache, spec);
+    EXPECT_EQ(grid_ledger_json(pooled, pooled_cache, spec), json);
+    if (spec.configs.front().alloc.enabled()) {
+      EXPECT_NE(json.find("\"alloc.magazine_hits\""), std::string::npos);
+    }
+  }
 }
 
 /// Forwards only the three pure-virtual TaskPool members and counts

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/experiment.hpp"
 #include "sim/format.hpp"
 
@@ -52,6 +55,45 @@ TEST(Experiment, DeterministicForSameSeed) {
   const RunStats a = run_app(*app, SystemConfig::mos(), 4, 2, 99);
   const RunStats b = run_app(*app, SystemConfig::mos(), 4, 2, 99);
   EXPECT_DOUBLE_EQ(a.median(), b.median());
+}
+
+/// One cell as perfbench's replica runs it: one ledger per rep, merged in
+/// rep order. Returns the merged ledger's JSON and appends each FOM to `foms`.
+std::string merged_rep_ledgers(workloads::App& app, const SystemConfig& config, int nodes,
+                               int reps, std::uint64_t seed, std::vector<double>& foms) {
+  const std::uint64_t fp = cell_fingerprint(app.name(), config, nodes, seed);
+  obs::RunLedger merged;
+  for (int rep = 0; rep < reps; ++rep) {
+    obs::RunLedger one;
+    foms.push_back(run_once(app, config, nodes, fp, rep, one).fom);
+    merged.merge(one);
+  }
+  return merged.to_json();
+}
+
+TEST(Experiment, DirectRecordingEqualsPerRepMerge) {
+  // run_app records every rep straight into the cell ledger; merging
+  // per-rep ledgers in rep order must give the same bytes.
+  SystemConfig alloc_on = SystemConfig::mos();
+  alloc_on.alloc.model_allocator = true;
+  const struct {
+    const char* app;
+    SystemConfig config;
+    int reps;
+  } cells[] = {{"MiniFE", SystemConfig::linux_default(), 3},
+               {"XSBench/interleave", alloc_on, 2}};
+  for (const auto& c : cells) {
+    SCOPED_TRACE(c.app);
+    auto app = workloads::make_app(c.app);
+    std::vector<double> foms;
+    const std::string merged = merged_rep_ledgers(*app, c.config, 16, c.reps, 31, foms);
+    const RunStats direct = run_app(*app, c.config, 16, c.reps, 31);
+    EXPECT_EQ(merged, direct.ledger.to_json());
+    EXPECT_EQ(foms, direct.fom.samples());
+    if (c.config.alloc.enabled()) {
+      EXPECT_NE(merged.find("\"alloc.magazine_hits\""), std::string::npos);
+    }
+  }
 }
 
 TEST(Experiment, ScalingSweepHonorsCapAndCounts) {

@@ -1,7 +1,7 @@
 // Unit tests: the fault-injection subsystem — plan determinism and ordering,
 // the injector, recovery-policy math, kernel-specific crash survival, the
 // checkpoint-interval trade-off, MCDRAM denial spill, and the byte-identity
-// guarantees (zero plan == no subsystem; serial == pooled under faults).
+// guarantees (zero plan == no subsystem; 1 worker == 4 workers under faults).
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include "core/campaign.hpp"
 #include "core/config.hpp"
 #include "core/experiment.hpp"
+#include "core/obs_glue.hpp"
 #include "fault/fault.hpp"
 #include "fault/injector.hpp"
 #include "mem/address_space.hpp"
@@ -450,15 +451,34 @@ TEST(Resilience, FaultyRunIsSeedDeterministic) {
   EXPECT_GT(a.ledger.counter("fault.wait_ns"), 0u);
 }
 
-TEST(Resilience, SerialAndPooledLedgersAreByteIdenticalUnderFaults) {
+/// Runs `spec` through a Campaign on `pool` and renders every cell as one
+/// ledger document (twin of test_campaign.cpp's grid_ledger_json).
+std::string grid_ledger_json(sim::TaskPool& pool, const core::CampaignSpec& spec) {
+  core::CellCache cache;
+  core::Campaign campaign(pool, cache);
+  obs::RunLedger ledger;
+  for (const core::CellResult& cell : campaign.run(spec)) {
+    core::record_run_stats(ledger, cell.app + "." + std::to_string(cell.nodes), cell.stats);
+  }
+  return ledger.to_json();
+}
+
+TEST(Resilience, PooledGridLedgerIsByteIdenticalUnderFaults) {
+  // Fault plans draw from their own positional stream: fanning cells out
+  // over four workers must not change a byte of the fault telemetry.
   SystemConfig config = SystemConfig::mckernel();
   config.resilience = chaotic_spec();
-  auto app = workloads::make_app("MiniFE");
-  const core::RunStats serial = core::run_app(*app, config, 8, 4, 42);
-  sim::ThreadPool pool{4};
-  const core::RunStats pooled = core::run_app("MiniFE", config, 8, 4, 42, pool);
-  EXPECT_EQ(serial.fom.samples(), pooled.fom.samples());
-  EXPECT_EQ(serial.ledger.to_json(), pooled.ledger.to_json());
+  core::CampaignSpec spec;
+  spec.apps = {"MiniFE"};
+  spec.configs = {config};
+  spec.nodes = {8, 16};
+  spec.reps = 4;
+  spec.seed = 42;
+  sim::ThreadPool one{1};
+  sim::ThreadPool four{4};
+  const std::string json = grid_ledger_json(one, spec);
+  EXPECT_EQ(grid_ledger_json(four, spec), json);
+  EXPECT_NE(json.find("\"fault.injected\""), std::string::npos);
 }
 
 TEST(Resilience, FaultsDegradeFom) {

@@ -248,19 +248,6 @@ TEST(Noise, SampleMatchesExpectationOverLongSpans) {
 
 // --------------------------------------------------------------- scheduler
 
-TEST(Scheduler, CoopRoundRobinIsFifoAndCharged) {
-  CoopScheduler sched{SchedulerModel::lwk_coop()};
-  using Burst = CoopScheduler::Burst;
-  int remaining_a = 2;
-  sched.add_task([&]() -> Burst { return {sim::microseconds(10), --remaining_a == 0}; });
-  sched.add_task([&]() -> Burst { return {sim::microseconds(5), true}; });
-  const auto total = sched.run_to_completion();
-  EXPECT_EQ(sched.completed(), 2);
-  EXPECT_EQ(sched.completion_order(), (std::vector<int>{1, 0}));
-  // 10 + 5 + 10 us of work plus 2 context switches.
-  EXPECT_EQ(total.ns(), 25000 + 2 * 1300);
-}
-
 TEST(Scheduler, HijackedYieldIsNearlyFree) {
   const auto normal = SchedulerModel::lwk_coop(false).sched_yield_cost();
   const auto hijacked = SchedulerModel::lwk_coop(true).sched_yield_cost();

@@ -93,7 +93,7 @@ TEST(NoiseExtremesStats, EmptyModelIsSilent) {
   EXPECT_DOUBLE_EQ(ex.mean_duration_s(), 0.0);
 }
 
-// ------------------------------------------------- SoA lanes / batched API
+// ------------------------------------------------------------ SoA lanes
 
 TEST(NoiseLanes, MirrorComponentsThroughConstructionAndAdd) {
   NoiseModel m = noise_linux_nohz_full();
@@ -102,99 +102,6 @@ TEST(NoiseLanes, MirrorComponentsThroughConstructionAndAdd) {
   ASSERT_EQ(m.lanes().size(), m.components().size());
   for (std::size_t i = 0; i < m.components().size(); ++i) {
     EXPECT_EQ(m.lanes().rate_hz[i], m.components()[i].rate_hz);
-    EXPECT_EQ(m.lanes().m1_ns[i], m.moments()[i].m1_ns);
-    EXPECT_GE(m.lanes().var_ns2[i], 0.0);
-  }
-}
-
-TEST(NoiseBatch, MatchesExpectedFractionOverLongSpans) {
-  const NoiseModel m = noise_linux_nohz_full();
-  sim::Rng rng{42};
-  std::vector<sim::TimeNs> spans(256, sim::seconds(0.5));
-  std::vector<sim::TimeNs> out(spans.size());
-  SampleCounters counters;
-  m.sample_batch(spans, out, rng, &counters);
-  double stolen_s = 0.0;
-  double span_s = 0.0;
-  for (std::size_t j = 0; j < spans.size(); ++j) {
-    stolen_s += out[j].sec();
-    span_s += spans[j].sec();
-  }
-  EXPECT_NEAR(stolen_s / span_s, m.expected_fraction(),
-              0.25 * m.expected_fraction());
-  EXPECT_GT(counters.analytic_sums + counters.exact_events, 0u);
-}
-
-TEST(NoiseBatch, DeterministicPerSeed) {
-  const NoiseModel m = noise_linux_co_tenant();
-  std::vector<sim::TimeNs> spans;
-  for (int j = 0; j < 64; ++j) spans.push_back(sim::microseconds(50 + 13 * j));
-  std::vector<sim::TimeNs> a(spans.size());
-  std::vector<sim::TimeNs> b(spans.size());
-  sim::Rng r1{7};
-  sim::Rng r2{7};
-  m.sample_batch(spans, a, r1);
-  m.sample_batch(spans, b, r2);
-  for (std::size_t j = 0; j < spans.size(); ++j) EXPECT_EQ(a[j].ns(), b[j].ns());
-}
-
-TEST(NoiseBatch, ZeroSpansStealNothingAndEmptyBatchDrawsNothing) {
-  const NoiseModel m = noise_linux_nohz_full();
-  sim::Rng rng{9};
-  std::vector<sim::TimeNs> spans(8, sim::TimeNs{0});
-  std::vector<sim::TimeNs> out(8, sim::microseconds(1));
-  m.sample_batch(spans, out, rng);
-  for (const auto& o : out) EXPECT_EQ(o.ns(), 0);
-
-  // An empty batch must not consume any of the stream.
-  sim::Rng untouched{9};
-  sim::Rng after = rng;  // copy: compare subsequent draws
-  m.sample_batch({}, {}, after);
-  EXPECT_EQ(after.next_u64(), rng.next_u64());
-  (void)untouched;
-}
-
-TEST(NoiseBatch, CappedComponentRespectsSupportBounds) {
-  // High rate + cap: CLT path with clamping; every output within n * cap.
-  NoiseModel m{{NoiseComponent{"burst", 50000.0, sim::microseconds(10),
-                               NoiseComponent::Dist::kPareto, 1.4,
-                               sim::microseconds(40)}}};
-  sim::Rng rng{11};
-  std::vector<sim::TimeNs> spans(32, sim::milliseconds(5.0));
-  std::vector<sim::TimeNs> out(spans.size());
-  SampleCounters counters;
-  m.sample_batch(spans, out, rng, &counters);
-  EXPECT_GT(counters.analytic_sums, 0u);
-  for (const auto& o : out) {
-    EXPECT_GE(o.ns(), 0);
-    // 50 kHz * 5 ms ~ 250 events; n * cap stays far below 1 s.
-    EXPECT_LT(o.ns(), sim::seconds(1.0).ns());
-  }
-}
-
-TEST(RngBatch, FillsMatchScalarStreamSemantics) {
-  // Zero counts draw nothing: filling an all-zero batch leaves the stream
-  // where it started.
-  sim::Rng a{5};
-  sim::Rng b{5};
-  std::vector<std::uint64_t> zeros(16, 0);
-  std::vector<double> out(16, 1.0);
-  a.fill_exponential_sums(zeros, 100.0, out);
-  for (double v : out) EXPECT_EQ(v, 0.0);
-  a.fill_normal_sums(zeros, 10.0, 4.0, out);
-  for (double v : out) EXPECT_EQ(v, 0.0);
-  EXPECT_EQ(a.next_u64(), b.next_u64());
-
-  // Nonzero counts produce the same values as the scalar loop in the same
-  // order.
-  sim::Rng c{17};
-  sim::Rng d{17};
-  std::vector<std::uint64_t> counts{3, 0, 1, 7};
-  std::vector<double> batched(counts.size());
-  c.fill_exponential_sums(counts, 250.0, batched);
-  for (std::size_t j = 0; j < counts.size(); ++j) {
-    const double scalar = counts[j] == 0 ? 0.0 : d.exponential_sum(counts[j], 250.0);
-    EXPECT_DOUBLE_EQ(batched[j], scalar);
   }
 }
 

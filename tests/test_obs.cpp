@@ -1,6 +1,6 @@
 // Unit tests for the mkos::obs run ledger: section semantics, the
-// positional-merge contract, strict JSON validity of the emitted document,
-// and the serial-vs-pooled byte-identity the determinism contract promises.
+// positional-merge contract, and strict JSON validity of the emitted
+// document.
 
 #include <gtest/gtest.h>
 
@@ -8,11 +8,8 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/experiment.hpp"
 #include "obs/ledger.hpp"
-#include "sim/thread_pool.hpp"
 #include "strict_json.hpp"
-#include "workloads/app.hpp"
 
 namespace {
 
@@ -243,26 +240,6 @@ TEST(RunLedger, ToCsvListsScalarSections) {
   EXPECT_NE(csv.find("meta,bench,csv"), std::string::npos);
   EXPECT_NE(csv.find("counter,c,2"), std::string::npos);
   EXPECT_NE(csv.find("gauge,g,0.5"), std::string::npos);
-}
-
-// -------------------------------------------- determinism: serial vs pooled
-
-TEST(RunLedger, SerialAndPooledSweepLedgersAreByteIdentical) {
-  const core::SystemConfig config = core::SystemConfig::mckernel();
-  constexpr int kReps = 2;
-  constexpr std::uint64_t kSeed = 77;
-  constexpr int kMaxNodes = 32;
-
-  auto app = workloads::make_minife();
-  obs::RunLedger serial;
-  (void)core::scaling_sweep(*app, config, kReps, kSeed, kMaxNodes, &serial);
-
-  sim::ThreadPool pool{4};
-  obs::RunLedger pooled;
-  (void)core::scaling_sweep("MiniFE", config, kReps, kSeed, pool, kMaxNodes, &pooled);
-
-  EXPECT_EQ(serial.to_json(), pooled.to_json());
-  EXPECT_TRUE(StrictJson{serial.to_json()}.valid());
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
-// Unit tests: histogram, time-share scheduler, CSV export — the framework
+// Unit tests: histogram, CSV export — the framework
 // extensions layered on the simulation kernel.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 
-#include "kernel/scheduler.hpp"
 #include "sim/env.hpp"
 #include "sim/format.hpp"
 #include "sim/histogram.hpp"
@@ -15,7 +14,6 @@ namespace {
 
 using namespace mkos;
 using namespace mkos::sim;
-using namespace mkos::sim::literals;
 
 // ---------------------------------------------------------------- Histogram
 
@@ -112,44 +110,6 @@ TEST(Histogram, ToStringRendersBars) {
   const std::string s = h.to_string();
   EXPECT_NE(s.find('#'), std::string::npos);
   EXPECT_NE(s.find("10"), std::string::npos);
-}
-
-// ------------------------------------------------------- TimeShareScheduler
-
-TEST(TimeShare, EqualTasksFinishTogetherAtTheEnd) {
-  kernel::TimeShareScheduler ts{kernel::SchedulerModel::lwk_coop(), 1_ms};
-  ts.add_task(10_ms);
-  ts.add_task(10_ms);
-  const auto done = ts.run();
-  ASSERT_EQ(done.size(), 2u);
-  // Interleaved: both complete near 20 ms (+ context switches), one quantum
-  // apart — unlike cooperative run-to-completion where task 0 ends at 10 ms.
-  EXPECT_GT(done[0].ms(), 18.0);
-  EXPECT_GT(done[1], done[0]);
-  EXPECT_LT((done[1] - done[0]).ms(), 1.2);
-  EXPECT_GE(ts.preemptions(), 18u);
-}
-
-TEST(TimeShare, ShortTaskIsNotStarved) {
-  kernel::TimeShareScheduler ts{kernel::SchedulerModel::lwk_coop(), 1_ms};
-  ts.add_task(100_ms);  // long-running application thread
-  ts.add_task(2_ms);    // short in-situ task
-  const auto done = ts.run();
-  // The short task finishes after ~2 slices of each, not after 100 ms.
-  EXPECT_LT(done[1].ms(), 6.0);
-}
-
-TEST(TimeShare, PreemptionCostAccumulates) {
-  kernel::SchedulerModel m = kernel::SchedulerModel::lwk_coop();
-  kernel::TimeShareScheduler fine{m, 100_us};
-  fine.add_task(10_ms);
-  fine.add_task(10_ms);
-  const auto fine_done = fine.run();
-  kernel::TimeShareScheduler coarse{m, 5_ms};
-  coarse.add_task(10_ms);
-  coarse.add_task(10_ms);
-  const auto coarse_done = coarse.run();
-  EXPECT_GT(fine_done[1], coarse_done[1]);  // more switches, more overhead
 }
 
 // ----------------------------------------------------------------- Table CSV
