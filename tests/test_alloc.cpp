@@ -4,8 +4,8 @@
 // slab runs at the arena stride), the DomainAllocator traffic hook that
 // attributes kernel-heap refills per lane, the per-kernel personality
 // separation, and the inert-by-default contract (an AllocSpec{} config keeps
-// its pre-subsystem fingerprint/digest). Thread-count ledger identity with the
-// model enabled is checked in test_campaign.cpp.
+// its pre-subsystem fingerprint/digest), and ledger identity between a serial
+// sweep and a pooled campaign with the model enabled.
 
 #include <gtest/gtest.h>
 
@@ -18,10 +18,14 @@
 #include "alloc/slab.hpp"
 #include "alloc/spec.hpp"
 #include "alloc/vmem.hpp"
+#include "core/campaign.hpp"
 #include "core/config.hpp"
+#include "core/experiment.hpp"
 #include "hw/knl.hpp"
 #include "mem/phys_allocator.hpp"
+#include "sim/thread_pool.hpp"
 #include "sim/units.hpp"
+#include "workloads/app.hpp"
 
 namespace {
 
@@ -514,6 +518,44 @@ TEST(AllocSpec, InertSpecKeepsFingerprintAndDigest) {
 
   on.alloc.contention_scale = 0.5;
   EXPECT_NE(on.fingerprint(), core::SystemConfig::mos().fingerprint());
+}
+
+TEST(AllocModel, SerialAndPooledSweepLedgersAreByteIdentical) {
+  // The model's vmem/magazine state is per rep, so fanning the sweep's cells
+  // over a pool must not move a single alloc.* counter.
+  core::SystemConfig config = core::SystemConfig::mos();
+  config.alloc.model_allocator = true;
+  constexpr int kReps = 2;
+  constexpr std::uint64_t kSeed = 99;
+  constexpr int kMaxNodes = 16;
+
+  auto app = workloads::make_xsbench_interleave();
+  obs::RunLedger serial;
+  const auto sweep = core::scaling_sweep(*app, config, kReps, kSeed, kMaxNodes, &serial);
+
+  core::CampaignSpec spec;
+  spec.apps = {"XSBench/interleave"};
+  spec.configs = {config};
+  for (const core::ScalingPoint& p : sweep) spec.nodes.push_back(p.nodes);
+  spec.reps = kReps;
+  spec.seed = kSeed;
+  sim::ThreadPool pool{4};
+  core::CellCache cache;
+  core::Campaign campaign(pool, cache);
+  const std::vector<core::CellResult> cells = campaign.run(spec);
+  ASSERT_EQ(cells.size(), sweep.size());
+  obs::RunLedger pooled;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(cells[i].nodes, sweep[i].nodes);
+    EXPECT_EQ(cells[i].stats.median(), sweep[i].median);
+    pooled.merge(cells[i].stats.ledger);
+  }
+
+  const std::string json = serial.to_json();
+  EXPECT_EQ(json, pooled.to_json());
+  // The enabled model must surface its counter group in the merged ledger.
+  EXPECT_NE(json.find("\"alloc.magazine_hits\""), std::string::npos);
+  EXPECT_NE(json.find("\"alloc.vmem_imports\""), std::string::npos);
 }
 
 }  // namespace

@@ -138,37 +138,21 @@ std::string grid_ledger_json(sim::TaskPool& pool, CellCache& cache,
 
 TEST(Campaign, PooledGridLedgerIsByteIdenticalToSerial) {
   // The same grid through a one-worker pool and a four-worker pool must
-  // produce byte-identical reporting documents: three apps on all three
-  // kernels, and XSBench/interleave on mOS with the allocator model on
-  // (its vmem/magazine state is per rep, so no alloc.* counter may move).
-  CampaignSpec grid;
-  grid.apps = {"MiniFE", "HPCG", "Lulesh2.0"};
-  grid.configs = {SystemConfig::linux_default(), SystemConfig::mckernel(),
+  // produce byte-identical reporting documents.
+  CampaignSpec spec;
+  spec.apps = {"MiniFE", "HPCG", "Lulesh2.0"};
+  spec.configs = {SystemConfig::linux_default(), SystemConfig::mckernel(),
                   SystemConfig::mos()};
-  grid.nodes = {16, 32};
-  grid.reps = 2;
-  grid.seed = 21;
-
-  SystemConfig alloc_on = SystemConfig::mos();
-  alloc_on.alloc.model_allocator = true;
-  CampaignSpec alloc_grid;
-  alloc_grid.apps = {"XSBench/interleave"};
-  alloc_grid.configs = {alloc_on};
-  alloc_grid.nodes = {1, 2, 4, 8, 16};
-  alloc_grid.reps = 2;
-  alloc_grid.seed = 99;
+  spec.nodes = {16, 32};
+  spec.reps = 2;
+  spec.seed = 21;
 
   sim::ThreadPool serial(1);
   sim::ThreadPool pooled(4);
-  for (const CampaignSpec& spec : {grid, alloc_grid}) {
-    CellCache serial_cache;
-    CellCache pooled_cache;
-    const std::string json = grid_ledger_json(serial, serial_cache, spec);
-    EXPECT_EQ(grid_ledger_json(pooled, pooled_cache, spec), json);
-    if (spec.configs.front().alloc.enabled()) {
-      EXPECT_NE(json.find("\"alloc.magazine_hits\""), std::string::npos);
-    }
-  }
+  CellCache serial_cache;
+  CellCache pooled_cache;
+  EXPECT_EQ(grid_ledger_json(pooled, pooled_cache, spec),
+            grid_ledger_json(serial, serial_cache, spec));
 }
 
 /// Forwards only the three pure-virtual TaskPool members and counts
